@@ -202,16 +202,16 @@ void BM_AssignSkillsReference(benchmark::State& state) {
   const auto& trained = PipelineModel();
   const Dataset& dataset = data.dataset;
   const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  std::unique_ptr<exec::Backend> pool;
+  if (threads > 1) pool = std::make_unique<exec::ThreadPoolBackend>(threads);
   const std::vector<double> cache =
       trained.model.ItemLogProbCache(dataset.items());
   const size_t levels = static_cast<size_t>(trained.model.num_levels());
   SkillAssignments assignments(static_cast<size_t>(dataset.num_users()));
   std::vector<double> user_ll(static_cast<size_t>(dataset.num_users()));
   for (auto _ : state) {
-    ParallelFor(pool.get(), 0, static_cast<size_t>(dataset.num_users()),
-                [&](size_t u) {
+    exec::ResolveBackend(pool.get())->RunIndices(
+        0, static_cast<size_t>(dataset.num_users()), [&](size_t u) {
       std::span<const Action> seq =
           dataset.sequence(static_cast<UserId>(u));
       std::vector<double> log_probs(seq.size() * levels);
@@ -243,10 +243,10 @@ void BM_AssignSkills(benchmark::State& state) {
   const auto& trained = PipelineModel();
   const Dataset& dataset = data.dataset;
   const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
+  std::unique_ptr<exec::Backend> pool;
   ParallelOptions parallel;
   if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
+    pool = std::make_unique<exec::ThreadPoolBackend>(threads);
     parallel.num_threads = threads;
     parallel.users = true;
   }
@@ -276,10 +276,10 @@ void AssignSkillsSharded(benchmark::State& state) {
   const Dataset& dataset = data.dataset;
   const int threads = static_cast<int>(state.range(0));
   const int shards = static_cast<int>(state.range(1));
-  std::unique_ptr<ThreadPool> pool;
+  std::unique_ptr<exec::Backend> pool;
   ParallelOptions parallel;
   if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
+    pool = std::make_unique<exec::ThreadPoolBackend>(threads);
     parallel.num_threads = threads;
     parallel.users = true;
   }
@@ -344,10 +344,10 @@ void BM_FitParameters(benchmark::State& state) {
   const auto& data = PipelineData();
   const auto& trained = PipelineModel();
   const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
+  std::unique_ptr<exec::Backend> pool;
   ParallelOptions parallel;
   if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
+    pool = std::make_unique<exec::ThreadPoolBackend>(threads);
     parallel.num_threads = threads;
     parallel.levels = true;
     parallel.features = true;
@@ -373,10 +373,10 @@ void FitParametersSharded(benchmark::State& state) {
   const auto& trained = PipelineModel();
   const int threads = static_cast<int>(state.range(0));
   const int shards = static_cast<int>(state.range(1));
-  std::unique_ptr<ThreadPool> pool;
+  std::unique_ptr<exec::Backend> pool;
   ParallelOptions parallel;
   if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
+    pool = std::make_unique<exec::ThreadPoolBackend>(threads);
     parallel.num_threads = threads;
     parallel.levels = true;
     parallel.features = true;
@@ -403,10 +403,10 @@ void BM_FitParametersReference(benchmark::State& state) {
   const auto& data = PipelineData();
   const auto& trained = PipelineModel();
   const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
+  std::unique_ptr<exec::Backend> pool;
   ParallelOptions parallel;
   if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
+    pool = std::make_unique<exec::ThreadPoolBackend>(threads);
     parallel.num_threads = threads;
     parallel.levels = true;
     parallel.features = true;

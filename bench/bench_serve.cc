@@ -103,8 +103,8 @@ BENCHMARK(BM_SnapshotLoad);
 // The swap-time cost: full log-prob matrix + per-level rankings.
 void BM_ServingModelBuild(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  std::unique_ptr<exec::Backend> pool;
+  if (threads > 1) pool = std::make_unique<exec::ThreadPoolBackend>(threads);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ServingModel::FromSnapshot(BenchSnapshot(), pool.get()));
@@ -147,14 +147,14 @@ BENCHMARK(BM_RecommendServing);
 
 // The headline throughput bench: 100k live sessions, request waves of a
 // 90% observe / 10% recommend mix, executed through the full request API
-// (parse-level structs in, rendered response strings out) on a thread
-// pool. items_per_second in the JSON output is requests per second.
+// (parse-level structs in, rendered response strings out) on the pool
+// backend. items_per_second in the JSON output is requests per second.
 // Arg(0) = pool threads, Arg(1) = live sessions.
 void BM_ServeThroughput(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const int num_sessions = static_cast<int>(state.range(1));
   Server server(BenchServingModel(), /*num_shards=*/256);
-  ThreadPool pool(threads);
+  exec::ThreadPoolBackend pool(threads);
   const int num_items = BenchServingModel()->num_items();
   Rng rng(13);
 

@@ -164,9 +164,10 @@ int Usage() {
       "  select-levels <data_dir> [--min 2] [--max 8]\n"
       "  train <data_dir> <model_out.csv> [--levels S] [--em]\n"
       "        [--transitions] [--threads N] [--verbose]\n"
-      "        [--backend serial|pool|numa]   (execution backend; results\n"
-      "        are bitwise identical across backends — default picks pool\n"
-      "        when --threads > 1 and serial otherwise)\n"
+      "        [--backend serial|pool]   (execution backend; results are\n"
+      "        bitwise identical across backends — default picks pool\n"
+      "        when --threads > 1 and serial otherwise; assign, summary,\n"
+      "        difficulty, recommend and snapshot take it too)\n"
       "        [--metrics-out metrics.prom] [--trace-out trace.json]\n"
       "        [--from-store]   (read a packed .store instead of CSVs)\n"
       "        [--online --checkpoint ck.bin [--previous prev.store]]\n"
@@ -186,7 +187,7 @@ int Usage() {
       "  dataset inspect <file.store>\n"
       "  dataset compact <base.store> <log.ingest> <out.store>\n"
       "  serve <snapshot.snap> [--threads N] [--shards N] [--quantized]\n"
-      "        [--backend serial|pool|numa]   (backend for snapshot\n"
+      "        [--backend serial|pool]   (backend for snapshot\n"
       "        builds, requantization, and batch fan-out)\n"
       "        [--ingest-log log.ingest]   (tee observed actions into the\n"
       "        append-only store log for later compaction + refresh)\n"
@@ -323,6 +324,25 @@ SkillModelConfig ConfigFromArgs(const Args& args) {
   return config;
 }
 
+// The execution backend named by --backend, with --threads workers
+// (exec::CreateBackend: no name picks pool when --threads > 1 and serial
+// otherwise). An unknown name is an InvalidArgument error.
+Result<std::shared_ptr<exec::Backend>> BackendFromArgs(const Args& args) {
+  return exec::CreateBackend(args.StringFlag("backend", ""),
+                             static_cast<int>(args.IntFlag("threads", 1)));
+}
+
+// The assignment step of the read-side subcommands, on the --backend
+// backend; bitwise identical to a serial pass.
+Result<SkillAssignments> AssignFromArgs(const Args& args,
+                                        const Dataset& dataset,
+                                        const SkillModel& model,
+                                        const SkillModelConfig& config) {
+  auto backend = BackendFromArgs(args);
+  if (!backend.ok()) return backend.status();
+  return AssignSkills(dataset, model, backend.value().get(), config.parallel);
+}
+
 // `--from-store` swaps the CSV loader for the zero-copy mmap reader; the
 // returned Dataset keeps the mapping alive, so trainer/eval code runs on
 // it unmodified (and datasets larger than RAM page in on demand).
@@ -347,9 +367,8 @@ int TrainOnline(const Args& args, const Dataset& dataset,
     return Fail(Status::InvalidArgument(
         "--online supports the hard-assignment trainer only"));
   }
-  const int threads = static_cast<int>(args.IntFlag("threads", 1));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  auto backend = BackendFromArgs(args);
+  if (!backend.ok()) return Fail(backend.status());
 
   OnlineTrainer trainer(config);
   if (args.HasFlag("previous")) {
@@ -359,7 +378,8 @@ int TrainOnline(const Args& args, const Dataset& dataset,
     auto loaded = OnlineTrainer::LoadCheckpoint(checkpoint, config);
     if (!loaded.ok()) return Fail(loaded.status());
     trainer = std::move(loaded).value();
-    const auto stats = trainer.Refresh(previous.value(), dataset, pool.get());
+    const auto stats = trainer.Refresh(previous.value(), dataset,
+                                       backend.value().get());
     if (!stats.ok()) return Fail(stats.status());
     std::printf("refreshed: %zu dirty users (%zu new), %zu clean; "
                 "%zu actions added, %zu replaced, %.3fs\n",
@@ -451,8 +471,10 @@ int CmdAssign(const Args& args) {
       SkillModel::Load(args.positional[1], dataset.value().schema(), config);
   if (!model.ok()) return Fail(model.status());
 
-  const SkillAssignments assignments =
-      AssignSkills(dataset.value(), model.value());
+  const auto assigned =
+      AssignFromArgs(args, dataset.value(), model.value(), config);
+  if (!assigned.ok()) return Fail(assigned.status());
+  const SkillAssignments& assignments = assigned.value();
   if (args.HasFlag("out")) {
     const std::string out = args.StringFlag("out", "");
     const Status saved = SaveAssignments(assignments, out);
@@ -501,8 +523,10 @@ int CmdDifficulty(const Args& args) {
       SkillModel::Load(args.positional[1], dataset.value().schema(), config);
   if (!model.ok()) return Fail(model.status());
 
-  const SkillAssignments assignments =
-      AssignSkills(dataset.value(), model.value());
+  const auto assigned =
+      AssignFromArgs(args, dataset.value(), model.value(), config);
+  if (!assigned.ok()) return Fail(assigned.status());
+  const SkillAssignments& assignments = assigned.value();
   const std::string prior = args.StringFlag("prior", "empirical");
   const auto difficulty = EstimateDifficultyByGeneration(
       dataset.value().items(), model.value(),
@@ -560,8 +584,10 @@ int CmdSummary(const Args& args) {
   const auto model =
       SkillModel::Load(args.positional[1], dataset.value().schema(), config);
   if (!model.ok()) return Fail(model.status());
-  const SkillAssignments assignments =
-      AssignSkills(dataset.value(), model.value());
+  const auto assigned =
+      AssignFromArgs(args, dataset.value(), model.value(), config);
+  if (!assigned.ok()) return Fail(assigned.status());
+  const SkillAssignments& assignments = assigned.value();
   const auto summary =
       SummarizeTrajectories(assignments, config.num_levels);
   if (!summary.ok()) return Fail(summary.status());
@@ -592,8 +618,10 @@ int CmdRecommend(const Args& args) {
   const auto model =
       SkillModel::Load(args.positional[1], dataset.value().schema(), config);
   if (!model.ok()) return Fail(model.status());
-  const SkillAssignments assignments =
-      AssignSkills(dataset.value(), model.value());
+  const auto assigned =
+      AssignFromArgs(args, dataset.value(), model.value(), config);
+  if (!assigned.ok()) return Fail(assigned.status());
+  const SkillAssignments& assignments = assigned.value();
   const auto difficulty = EstimateDifficultyByGeneration(
       dataset.value().items(), model.value(), DifficultyPrior::kEmpirical,
       assignments);
@@ -634,12 +662,10 @@ int CmdSnapshot(const Args& args) {
       SkillModel::Load(args.positional[1], dataset.value().schema(), config);
   if (!model.ok()) return Fail(model.status());
 
-  const int threads = static_cast<int>(args.IntFlag("threads", 1));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
-  const SkillAssignments assignments = AssignSkills(
-      dataset.value(), model.value(), pool.get(), config.parallel);
+  const auto assigned =
+      AssignFromArgs(args, dataset.value(), model.value(), config);
+  if (!assigned.ok()) return Fail(assigned.status());
+  const SkillAssignments& assignments = assigned.value();
   const std::string prior = args.StringFlag("prior", "empirical");
   const auto difficulty = EstimateDifficultyByGeneration(
       dataset.value().items(), model.value(),
@@ -711,14 +737,12 @@ int CmdDataset(const Args& args) {
 
 int CmdServe(const Args& args) {
   if (args.positional.size() != 1) return Usage();
-  const int threads = static_cast<int>(args.IntFlag("threads", 1));
   const int shards = static_cast<int>(args.IntFlag("shards", 64));
   const bool quantized = args.HasFlag("quantized");
   // One execution backend for the whole serving process: the initial
   // snapshot build here, plus (installed on the server below) every
   // later swap/requantization and batch fan-out.
-  auto backend_result =
-      exec::CreateBackend(args.StringFlag("backend", ""), threads);
+  auto backend_result = BackendFromArgs(args);
   if (!backend_result.ok()) return Fail(backend_result.status());
   std::shared_ptr<exec::Backend> backend = std::move(backend_result).value();
 
@@ -818,7 +842,7 @@ int CmdServe(const Args& args) {
         static_cast<double>(args.IntFlag("deadline-ms", 0)) / 1000.0;
     config.max_connections =
         static_cast<int>(args.IntFlag("max-conns", 4096));
-    // Swaps route through the server's installed backend (null pool).
+    // Swaps route through the server's installed backend (null).
     net::NetServer net_server(&server, nullptr, config);
     const Status started = net_server.Start();
     if (!started.ok()) return Fail(started);
@@ -838,7 +862,7 @@ int CmdServe(const Args& args) {
   }
 
   // Line-at-a-time request/response loop, plus the `batch <N>` directive:
-  // the next N lines form one batch executed in parallel over the pool,
+  // the next N lines form one batch executed in parallel on the backend,
   // responses emitted in request order. Unparseable lines get an error
   // response; only `quit` or EOF ends the session.
   std::string line;

@@ -105,7 +105,10 @@ void ThreadPool::WorkerLoop() {
 }
 
 int ParallelMaxSlots(const ThreadPool* pool) {
-  return pool == nullptr ? 1 : pool->num_threads() + 1;
+  // Mirrors the inline rule of ParallelForChunked/ParallelFor: a null or
+  // one-worker pool runs every loop on the calling thread.
+  if (pool == nullptr || pool->num_threads() <= 1) return 1;
+  return pool->num_threads() + 1;
 }
 
 namespace {

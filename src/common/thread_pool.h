@@ -13,8 +13,9 @@ namespace upskill {
 
 /// Fixed-size worker pool. Section IV-C of the paper derives three
 /// independent axes of parallelism for training (users in the assignment
-/// step; skill levels and features in the update step); the trainer maps
-/// each axis onto this pool via ParallelFor below.
+/// step; skill levels and features in the update step); the pool
+/// execution backend (exec::ThreadPoolBackend) runs each axis on this
+/// pool via ParallelFor below.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -49,7 +50,8 @@ class ThreadPool {
 
 /// Exclusive upper bound on the `slot` values ParallelForChunked passes to
 /// its body on `pool`: one slot per pool worker plus one for the calling
-/// thread (1 when `pool` is null). Size per-slot accumulators with this.
+/// thread, or 1 when `pool` is null or has one worker (both run inline).
+/// Size per-slot accumulators with this.
 int ParallelMaxSlots(const ThreadPool* pool);
 
 /// Dynamically scheduled chunked loop: [begin, end) is carved into chunks

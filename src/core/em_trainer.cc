@@ -57,9 +57,7 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
   if (!backend_result.ok()) return backend_result.status();
   std::shared_ptr<exec::Backend> backend = std::move(backend_result).value();
   exec::Backend* user_backend =
-      (config_.model.parallel.users && backend->concurrency() > 1)
-          ? backend.get()
-          : exec::SerialBackend::Get();
+      exec::ForAxis(backend.get(), config_.model.parallel.users);
 
   // One sharded-execution context for the run: the E-step, the hard
   // readout, and the update step's count sweep share the same user-axis
@@ -270,9 +268,7 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
     // only (independent components, disjoint writes).
     const int num_features = result.model.num_features();
     exec::Backend* feature_backend =
-        (config_.model.parallel.features && backend->concurrency() > 1)
-            ? backend.get()
-            : exec::SerialBackend::Get();
+        exec::ForAxis(backend.get(), config_.model.parallel.features);
     exec::MapShards(feature_backend, num_features, [&](int f) {
       const double* column = dataset.items().column(f).data();
       std::vector<SufficientStats> stats(

@@ -127,7 +127,7 @@ Result<TrainResult> OnlineTrainer::TrainFullReplay(const Dataset& dataset) {
 
 Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
                                                   const Dataset& current,
-                                                  ThreadPool* pool) {
+                                                  exec::Backend* backend) {
   if (!trained_) {
     return Status::FailedPrecondition(
         "online trainer has no state; call TrainFullReplay or "
@@ -177,7 +177,7 @@ Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
   // cells the last M-step dirtied, and only users whose action bytes
   // changed re-run the DP. Serial on purpose — the delta is the small
   // side, and a fixed visit order keeps the pass trivially deterministic.
-  cache_.Update(model_, current.items(), pool);
+  cache_.Update(model_, current.items(), backend);
   const std::vector<double>& item_log_probs = cache_.values();
   const bool use_transitions =
       config_.transitions == TransitionModel::kGlobal;
@@ -257,7 +257,7 @@ Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
   const bool track_delta = obs::MetricsEnabled() && stats.dirty_users > 0;
   if (track_delta) params_before = FlattenedParameters();
   if (stats.dirty_users > 0) {
-    FitCellsFromCountGrid(current.items(), level_counts_, &model_, pool,
+    FitCellsFromCountGrid(current.items(), level_counts_, &model_, backend,
                           config_.parallel);
     if (use_transitions) {
       transitions_ = FitTransitionWeights(assignments_, config_.num_levels,

@@ -61,7 +61,7 @@ namespace {
 
 // Item count below which the per-item column transforms in FitParameters
 // (clamp + log) run inline: at ~5ns per item the work only outweighs a
-// pool dispatch for catalogs of tens of thousands of items.
+// parallel dispatch for catalogs of tens of thousands of items.
 constexpr size_t kMinItemsForParallelTransform = 65536;
 
 // Runs fit_cell over the (level, feature) grid with the axis fan-out
@@ -75,7 +75,7 @@ constexpr size_t kMinItemsForParallelTransform = 65536;
 template <typename FitCell>
 void DispatchCells(exec::Backend* backend, ParallelOptions parallel,
                    int num_levels, int num_features, const FitCell& fit_cell) {
-  const bool concurrent = backend != nullptr && backend->concurrency() > 1;
+  const bool concurrent = backend->concurrency() > 1;
   const bool parallel_levels = parallel.levels && concurrent;
   const bool parallel_features = parallel.features && concurrent;
   if (parallel_levels && parallel_features) {
@@ -172,11 +172,9 @@ void FitCellsFromCountGrid(const ItemTable& items,
   const size_t num_items = static_cast<size_t>(items.num_items());
   UPSKILL_CHECK(level_counts.size() ==
                 static_cast<size_t>(num_levels) * num_items);
-  if (backend == nullptr) backend = exec::SerialBackend::Get();
+  backend = exec::ResolveBackend(backend);
   exec::Backend* update_backend =
-      ((parallel.levels || parallel.features) && backend->concurrency() > 1)
-          ? backend
-          : exec::SerialBackend::Get();
+      exec::ForAxis(backend, parallel.levels || parallel.features);
 
   // Positive-support kinds take a log per observation in the flat
   // formulation; hoisting log(max(x, floor)) per *item* makes the whole
@@ -238,17 +236,8 @@ void FitCellsFromCountGrid(const ItemTable& items,
   DispatchCells(backend, parallel, num_levels, num_features, fit_cell);
 }
 
-void FitCellsFromCountGrid(const ItemTable& items,
-                           std::span<const double> level_counts,
-                           SkillModel* model, ThreadPool* pool,
-                           ParallelOptions parallel) {
-  exec::BackendChoice choice;
-  FitCellsFromCountGrid(items, level_counts, model,
-                        choice.Resolve(nullptr, pool), parallel);
-}
-
 void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
-                   SkillModel* model, ThreadPool* pool,
+                   SkillModel* model, exec::Backend* backend,
                    ParallelOptions parallel, exec::ExecContext* exec_context) {
   UPSKILL_CHECK(model != nullptr);
   const size_t levels_sz = static_cast<size_t>(model->num_levels());
@@ -259,17 +248,13 @@ void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
   exec::ExecContext local_context;
   exec::ExecContext& ctx =
       exec_context != nullptr ? *exec_context : local_context;
-  // Backend resolution: a context-installed backend wins (Trainer/EM run
-  // everything through one registry-built backend); otherwise the legacy
-  // ThreadPool* argument is wrapped for the call's duration. The
+  // A null backend means the context's installed one (Trainer/EM run
+  // everything through one backend built by CreateBackend). The
   // accumulation pass fans out whenever the update step is parallel on
   // either axis.
-  exec::BackendChoice choice;
-  exec::Backend* backend = exec::AxisBackend(&ctx, true, pool, choice);
+  backend = exec::ResolveBackend(backend, ctx.backend());
   exec::Backend* update_backend =
-      ((parallel.levels || parallel.features) && backend->concurrency() > 1)
-          ? backend
-          : exec::SerialBackend::Get();
+      exec::ForAxis(backend, parallel.levels || parallel.features);
 
   // Hard assignments weight every action equally, so the only thing the
   // statistics need from the action stream is how many actions each
@@ -293,8 +278,7 @@ void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
       total_actions += dataset.sequence(u).size();
     }
   }
-  ctx.EnsureUserShards(dataset, model->config().num_shards,
-                       static_cast<const exec::Backend*>(update_backend));
+  ctx.EnsureUserShards(dataset, model->config().num_shards, update_backend);
   const int num_shards = ctx.num_shards();
   exec::Backend* count_backend =
       total_actions >= grid_size * static_cast<size_t>(num_shards)
@@ -348,7 +332,7 @@ void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
 
 void FitParametersReference(const Dataset& dataset,
                             const SkillAssignments& assignments,
-                            SkillModel* model, ThreadPool* pool,
+                            SkillModel* model, exec::Backend* backend,
                             ParallelOptions parallel) {
   UPSKILL_CHECK(model != nullptr);
   const int num_levels = model->num_levels();
@@ -377,8 +361,7 @@ void FitParametersReference(const Dataset& dataset,
     for (ItemId item : members) values.push_back(items.value(item, feature));
     model->mutable_component(feature, level)->Fit(values);
   };
-  exec::BackendChoice choice;
-  DispatchCells(choice.Resolve(nullptr, pool), parallel, num_levels,
+  DispatchCells(exec::ResolveBackend(backend), parallel, num_levels,
                 num_features, fit_cell);
 }
 
@@ -460,8 +443,7 @@ AssignmentStats AssignmentEngine::RunPass(
   // shard's persistent workspace (DP arena + counters), so the loop body
   // is lock-free and allocation-free in the steady state.
   exec::ExecContext& ctx = *context_;
-  ctx.EnsureUserShards(*dataset_, num_shards_request_,
-                       static_cast<const exec::Backend*>(user_backend));
+  ctx.EnsureUserShards(*dataset_, num_shards_request_, user_backend);
   const int num_shards = ctx.num_shards();
   exec::MapShards(user_backend, num_shards, [&](int shard_index) {
     const exec::DatasetShard& shard =
@@ -508,12 +490,11 @@ AssignmentStats AssignmentEngine::RunPass(
 
 AssignmentStats AssignmentEngine::Assign(
     const SkillModel& model, const std::vector<double>& item_log_probs,
-    const TransitionWeights* transitions, ThreadPool* pool,
+    const TransitionWeights* transitions, exec::Backend* backend,
     ParallelOptions parallel, const std::vector<uint8_t>* dirty_items,
     bool weights_changed) {
-  exec::BackendChoice choice;
-  exec::Backend* user_backend =
-      exec::AxisBackend(context_, parallel.users, pool, choice);
+  exec::Backend* user_backend = exec::ForAxis(
+      exec::ResolveBackend(backend, context_->backend()), parallel.users);
   const int num_levels = num_levels_;
   const ForgettingConfig& forgetting = model.config().forgetting;
   const double log_down = std::log(forgetting.drop_probability);
@@ -550,14 +531,13 @@ AssignmentStats AssignmentEngine::Assign(
 
 AssignmentStats AssignmentEngine::AssignWithClasses(
     const SkillModel& model, const std::vector<double>& item_log_probs,
-    std::span<const ProgressionClassWeights> classes, ThreadPool* pool,
+    std::span<const ProgressionClassWeights> classes, exec::Backend* backend,
     ParallelOptions parallel, const std::vector<uint8_t>* dirty_items,
     bool weights_changed) {
   UPSKILL_CHECK(!classes.empty());
   (void)model;
-  exec::BackendChoice choice;
-  exec::Backend* user_backend =
-      exec::AxisBackend(context_, parallel.users, pool, choice);
+  exec::Backend* user_backend = exec::ForAxis(
+      exec::ResolveBackend(backend, context_->backend()), parallel.users);
   const int num_levels = num_levels_;
   const Dataset& dataset = *dataset_;
   return RunPass(
@@ -597,23 +577,24 @@ AssignmentStats AssignmentEngine::AssignWithClasses(
 }
 
 SkillAssignments AssignSkills(const Dataset& dataset, const SkillModel& model,
-                              ThreadPool* pool, ParallelOptions parallel,
+                              exec::Backend* backend, ParallelOptions parallel,
                               double* total_log_likelihood,
                               const TransitionWeights* transitions,
                               const std::vector<double>* item_log_probs) {
-  ThreadPool* user_pool = (parallel.users && pool != nullptr) ? pool : nullptr;
   // The per-(item, level) log-probability cache is shared across all
   // occurrences of an item; the trainer passes its incrementally
   // maintained cache, standalone callers get a fresh one.
   std::vector<double> computed;
   if (item_log_probs == nullptr) {
-    computed = model.ItemLogProbCache(dataset.items(), user_pool);
+    computed = model.ItemLogProbCache(
+        dataset.items(),
+        exec::ForAxis(exec::ResolveBackend(backend), parallel.users));
     item_log_probs = &computed;
   }
   AssignmentEngine engine(dataset, model.num_levels(),
                           model.config().num_shards);
   const AssignmentStats stats =
-      engine.Assign(model, *item_log_probs, transitions, pool, parallel);
+      engine.Assign(model, *item_log_probs, transitions, backend, parallel);
   if (total_log_likelihood != nullptr) {
     *total_log_likelihood = stats.log_likelihood;
   }
@@ -622,20 +603,21 @@ SkillAssignments AssignSkills(const Dataset& dataset, const SkillModel& model,
 
 SkillAssignments AssignSkillsWithClasses(
     const Dataset& dataset, const SkillModel& model,
-    std::span<const ProgressionClassWeights> classes, ThreadPool* pool,
+    std::span<const ProgressionClassWeights> classes, exec::Backend* backend,
     ParallelOptions parallel, double* total_log_likelihood,
     std::vector<int>* user_classes,
     const std::vector<double>* item_log_probs) {
-  ThreadPool* user_pool = (parallel.users && pool != nullptr) ? pool : nullptr;
   std::vector<double> computed;
   if (item_log_probs == nullptr) {
-    computed = model.ItemLogProbCache(dataset.items(), user_pool);
+    computed = model.ItemLogProbCache(
+        dataset.items(),
+        exec::ForAxis(exec::ResolveBackend(backend), parallel.users));
     item_log_probs = &computed;
   }
   AssignmentEngine engine(dataset, model.num_levels(),
                           model.config().num_shards);
   const AssignmentStats stats = engine.AssignWithClasses(
-      model, *item_log_probs, classes, pool, parallel);
+      model, *item_log_probs, classes, backend, parallel);
   if (total_log_likelihood != nullptr) {
     *total_log_likelihood = stats.log_likelihood;
   }
@@ -699,12 +681,10 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
   TrainResult result;
   result.model = std::move(created).value();
 
-  // Build the execution backend from the registry: an explicit
-  // config_.backend name wins; "" / "auto" resolves to the thread pool
-  // when parallelism is requested and to serial otherwise (the old
-  // "create a pool iff parallel.any()" behavior). Backend choice only
-  // moves scheduling, never results — the determinism sweep in
-  // tests/exec enforces that bitwise.
+  // Build the execution backend: an explicit config_.backend name wins;
+  // "" / "auto" resolves to the thread pool when parallelism is requested
+  // and to serial otherwise. Backend choice only moves scheduling, never
+  // results — the determinism sweep in tests/exec enforces that bitwise.
   Result<std::shared_ptr<exec::Backend>> backend_result = exec::CreateBackend(
       config_.backend, config_.parallel.any() ? config_.parallel.num_threads : 1);
   if (!backend_result.ok()) return backend_result.status();
@@ -781,9 +761,7 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
   AssignmentEngine engine(dataset, config_.num_levels, config_.num_shards,
                           &exec_context);
   exec::Backend* user_backend =
-      (config_.parallel.users && backend->concurrency() > 1)
-          ? backend.get()
-          : exec::SerialBackend::Get();
+      exec::ForAxis(backend.get(), config_.parallel.users);
 
   // Whether the transition weights fed to the assignment step changed
   // since the previous iteration (always true before the first pass; the

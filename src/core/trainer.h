@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/dp.h"
 #include "core/skill_model.h"
 #include "data/dataset.h"
@@ -112,13 +111,15 @@ SkillAssignments InitializeAssignments(const Dataset& dataset, int num_levels,
 /// per-cell reduction runs in fixed item order, so the fitted parameters
 /// are bitwise identical for any thread count (gamma/log-normal log-sums
 /// are reassociated relative to a flat loop, but deterministically so).
-/// Parallelizes the pass when `parallel` enables the level and/or feature
-/// axis; the count sweep shards the user axis through `exec_context` (a
-/// shared one from Trainer::Train, or a call-local one) when the dataset
-/// is large enough, merging the exact per-shard count grids in fixed
-/// shard order — bitwise identical for any thread and shard count.
+/// Parallelizes the pass on `backend` (null: the backend installed in
+/// `exec_context`, serial when none) when `parallel` enables the level
+/// and/or feature axis; the count sweep shards the user axis through
+/// `exec_context` (a shared one from Trainer::Train, or a call-local one)
+/// when the dataset is large enough, merging the exact per-shard count
+/// grids in fixed shard order — bitwise identical for any thread and
+/// shard count.
 void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
-                   SkillModel* model, ThreadPool* pool = nullptr,
+                   SkillModel* model, exec::Backend* backend = nullptr,
                    ParallelOptions parallel = {},
                    exec::ExecContext* exec_context = nullptr);
 
@@ -128,19 +129,13 @@ void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
 /// num_levels * num_items). Because the grid holds exact integer sums, any
 /// path that produces the same grid — one full sweep or incremental
 /// subtract/add maintenance — refits to bitwise-identical parameters. This
-/// is the contract the online trainer builds on.
+/// is the contract the online trainer builds on. The per-axis cell
+/// fan-out and the large-catalog column transforms dispatch through
+/// `backend` (null = serial).
 void FitCellsFromCountGrid(const ItemTable& items,
                            std::span<const double> level_counts,
-                           SkillModel* model, ThreadPool* pool = nullptr,
+                           SkillModel* model, exec::Backend* backend = nullptr,
                            ParallelOptions parallel = {});
-
-/// Backend form: dispatches the per-axis cell fan-out and the large-
-/// catalog column transforms through `backend` (null = serial). The
-/// ThreadPool overload above wraps its pool and forwards here.
-void FitCellsFromCountGrid(const ItemTable& items,
-                           std::span<const double> level_counts,
-                           SkillModel* model, exec::Backend* backend,
-                           ParallelOptions parallel);
 
 /// Reference implementation of the update step: groups item occurrences
 /// into per-level buckets, then copies each (feature, level) cell's values
@@ -149,19 +144,21 @@ void FitCellsFromCountGrid(const ItemTable& items,
 /// call FitParameters.
 void FitParametersReference(const Dataset& dataset,
                             const SkillAssignments& assignments,
-                            SkillModel* model, ThreadPool* pool = nullptr,
+                            SkillModel* model,
+                            exec::Backend* backend = nullptr,
                             ParallelOptions parallel = {});
 
 /// The assignment step (Equation 4): per-user DP against the item
 /// log-probability cache. Returns the new assignments and, via
 /// `total_log_likelihood`, the objective value of Equation 3 under them
 /// (including transition terms when `transitions` is non-null).
-/// Parallelizes over users per `parallel` using `pool`. When
+/// Parallelizes over users per `parallel` on `backend` (null = serial).
+/// When
 /// `item_log_probs` is non-null it must be a [item * S + (level-1)] cache
 /// (e.g. LogProbCache::values()) and is used as-is; otherwise the cache is
 /// computed internally.
 SkillAssignments AssignSkills(const Dataset& dataset, const SkillModel& model,
-                              ThreadPool* pool = nullptr,
+                              exec::Backend* backend = nullptr,
                               ParallelOptions parallel = {},
                               double* total_log_likelihood = nullptr,
                               const TransitionWeights* transitions = nullptr,
@@ -209,8 +206,8 @@ struct AssignmentStats {
 /// sequences unchanged.
 class AssignmentEngine {
  public:
-  /// `num_shards` <= 0 resolves automatically from the pool of the first
-  /// pass. `context` (optional) shares one ExecContext across drivers —
+  /// `num_shards` <= 0 resolves automatically from the backend of the
+  /// first pass. `context` (optional) shares one ExecContext across drivers —
   /// e.g. Trainer::Train hands the same context to the engine and
   /// FitParameters so they reuse one shard plan and one workspace set.
   explicit AssignmentEngine(const Dataset& dataset, int num_levels,
@@ -221,11 +218,13 @@ class AssignmentEngine {
   /// weights (`transitions` may be null). `dirty_items` enables skipping:
   /// when non-null and `weights_changed` is false, users none of whose
   /// items are flagged keep their previous path. Pass null / true to
-  /// force a full pass. Forgetting is honored per `model.config()`.
+  /// force a full pass. Forgetting is honored per `model.config()`. The
+  /// user loop runs on `backend` (null: the backend installed in the
+  /// engine's ExecContext, serial when none) when `parallel.users`.
   AssignmentStats Assign(const SkillModel& model,
                          const std::vector<double>& item_log_probs,
                          const TransitionWeights* transitions,
-                         ThreadPool* pool, ParallelOptions parallel,
+                         exec::Backend* backend, ParallelOptions parallel,
                          const std::vector<uint8_t>* dirty_items = nullptr,
                          bool weights_changed = true);
 
@@ -233,8 +232,8 @@ class AssignmentEngine {
   /// chosen class is carried forward for skipped users.
   AssignmentStats AssignWithClasses(
       const SkillModel& model, const std::vector<double>& item_log_probs,
-      std::span<const ProgressionClassWeights> classes, ThreadPool* pool,
-      ParallelOptions parallel,
+      std::span<const ProgressionClassWeights> classes,
+      exec::Backend* backend, ParallelOptions parallel,
       const std::vector<uint8_t>* dirty_items = nullptr,
       bool weights_changed = true);
 
@@ -277,7 +276,7 @@ class AssignmentEngine {
 SkillAssignments AssignSkillsWithClasses(
     const Dataset& dataset, const SkillModel& model,
     std::span<const ProgressionClassWeights> classes,
-    ThreadPool* pool = nullptr, ParallelOptions parallel = {},
+    exec::Backend* backend = nullptr, ParallelOptions parallel = {},
     double* total_log_likelihood = nullptr,
     std::vector<int>* user_classes = nullptr,
     const std::vector<double>* item_log_probs = nullptr);

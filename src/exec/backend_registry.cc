@@ -1,80 +1,24 @@
 #include "exec/backend_registry.h"
 
-#include <algorithm>
-#include <utility>
-
-#include "exec/numa.h"
-
 namespace upskill {
 namespace exec {
 
-BackendRegistry::BackendRegistry() {
-  factories_["serial"] =
-      [](const BackendSpec&) -> Result<std::shared_ptr<Backend>> {
-    // The shared stateless singleton; the no-op deleter keeps ownership
-    // semantics uniform with the pooled backends.
-    return std::shared_ptr<Backend>(SerialBackend::Get(), [](Backend*) {});
-  };
-  factories_["pool"] =
-      [](const BackendSpec& spec) -> Result<std::shared_ptr<Backend>> {
-    return std::shared_ptr<Backend>(
-        std::make_shared<ThreadPoolBackend>(std::max(1, spec.num_threads)));
-  };
-  factories_["numa"] =
-      [](const BackendSpec& spec) -> Result<std::shared_ptr<Backend>> {
-    return std::shared_ptr<Backend>(
-        std::make_shared<NumaBackend>(std::max(1, spec.num_threads)));
-  };
-}
-
-BackendRegistry& BackendRegistry::Global() {
-  static BackendRegistry registry;
-  return registry;
-}
-
-void BackendRegistry::Register(const std::string& name, Factory factory) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  factories_[name] = std::move(factory);
-}
-
-Result<std::shared_ptr<Backend>> BackendRegistry::Create(
-    const BackendSpec& spec) const {
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = factories_.find(spec.name);
-    if (it == factories_.end()) {
-      std::string known;
-      for (const auto& [name, unused] : factories_) {
-        if (!known.empty()) known += ", ";
-        known += name;
-      }
-      return Status::InvalidArgument("unknown backend '" + spec.name +
-                                     "' (registered: " + known + ")");
-    }
-    factory = it->second;
-  }
-  // Run the factory outside the lock: it may spawn threads or register
-  // further backends.
-  return factory(spec);
-}
-
-std::vector<std::string> BackendRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, unused] : factories_) names.push_back(name);
-  return names;
-}
-
 Result<std::shared_ptr<Backend>> CreateBackend(const std::string& name,
                                                int num_threads) {
-  BackendSpec spec;
-  spec.name = (name.empty() || name == "auto")
-                  ? (num_threads > 1 ? "pool" : "serial")
-                  : name;
-  spec.num_threads = num_threads;
-  return BackendRegistry::Global().Create(spec);
+  const std::string resolved =
+      (name.empty() || name == "auto") ? (num_threads > 1 ? "pool" : "serial")
+                                       : name;
+  if (resolved == "serial") {
+    // The shared stateless singleton; the no-op deleter keeps ownership
+    // semantics uniform with the pooled backend.
+    return std::shared_ptr<Backend>(SerialBackend::Get(), [](Backend*) {});
+  }
+  if (resolved == "pool") {
+    return std::shared_ptr<Backend>(
+        std::make_shared<ThreadPoolBackend>(num_threads));
+  }
+  return Status::InvalidArgument("unknown backend '" + name +
+                                 "' (known: pool, serial)");
 }
 
 }  // namespace exec

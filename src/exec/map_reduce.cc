@@ -7,17 +7,7 @@ namespace exec {
 
 void MapShards(Backend* backend, int num_shards,
                const std::function<void(int shard)>& body) {
-  (backend != nullptr ? backend : SerialBackend::Get())->Run(num_shards, body);
-}
-
-void MapShards(ThreadPool* pool, int num_shards,
-               const std::function<void(int shard)>& body) {
-  if (pool == nullptr) {
-    SerialBackend::Get()->Run(num_shards, body);
-    return;
-  }
-  ThreadPoolBackend adapter(pool);
-  adapter.Run(num_shards, body);
+  ResolveBackend(backend)->Run(num_shards, body);
 }
 
 namespace {

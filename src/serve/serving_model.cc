@@ -12,14 +12,8 @@ namespace upskill {
 namespace serve {
 
 Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
-    ModelSnapshot snapshot, ThreadPool* pool) {
-  exec::BackendChoice choice;
-  return FromSnapshot(std::move(snapshot), choice.Resolve(nullptr, pool));
-}
-
-Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
     ModelSnapshot snapshot, exec::Backend* backend) {
-  if (backend == nullptr) backend = exec::SerialBackend::Get();
+  backend = exec::ResolveBackend(backend);
   const int levels = snapshot.config.num_levels;
   if (levels < 1) {
     return Status::InvalidArgument("snapshot has no skill levels");
@@ -54,8 +48,7 @@ Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
   // uses; each shard writes a disjoint slice of ranked_.
   const exec::ShardPlan plan = exec::ShardPlan::Contiguous(
       static_cast<size_t>(levels),
-      exec::ResolveShardCount(0, static_cast<const exec::Backend*>(backend),
-                              static_cast<size_t>(levels)));
+      exec::ResolveShardCount(0, backend, static_cast<size_t>(levels)));
   exec::MapShards(backend, plan.num_shards(), [&](int shard) {
     const exec::IndexRange range = plan.range(shard);
     for (size_t s = range.begin; s < range.end; ++s) {
@@ -73,13 +66,6 @@ Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
     }
   });
   return std::shared_ptr<const ServingModel>(std::move(model));
-}
-
-Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshotFile(
-    const std::string& path, ThreadPool* pool) {
-  Result<ModelSnapshot> snapshot = LoadSnapshot(path);
-  if (!snapshot.ok()) return snapshot.status();
-  return FromSnapshot(std::move(snapshot).value(), pool);
 }
 
 Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshotFile(

@@ -94,7 +94,7 @@ TEST(FitParametersEquivalenceTest, ParallelIsBitwiseIdenticalToSerial) {
   SkillModel serial = SkillModel::Create(dataset.schema(), config).value();
   FitParameters(dataset, assignments, &serial);
 
-  ThreadPool pool(8);
+  exec::ThreadPoolBackend pool(8);
   for (const bool levels : {false, true}) {
     for (const bool features : {false, true}) {
       ParallelOptions parallel;

@@ -2,8 +2,9 @@
 // per-iteration objectives, and serialized snapshots are bitwise
 // identical for ANY thread count and ANY shard count. These tests sweep
 // threads {1, 2, 8} x shards {1, 3, 7} over the hard trainer (with and
-// without the global progression component), the EM trainer, and the
-// eval harness, comparing everything with operator== (no tolerances).
+// without the global progression component), the EM trainer, the online
+// trainer's incremental refresh, and the eval harness, comparing
+// everything with operator== (no tolerances).
 // The suite also runs under UPSKILL_SANITIZE=thread, where the same
 // sweeps double as race detectors for the shard workspaces.
 
@@ -18,6 +19,7 @@
 #include "common/rng.h"
 #include "core/difficulty.h"
 #include "core/em_trainer.h"
+#include "core/online_trainer.h"
 #include "core/trainer.h"
 #include "data/split.h"
 #include "datagen/synthetic.h"
@@ -33,7 +35,7 @@ namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 8};
 constexpr int kShardCounts[] = {1, 3, 7};
-constexpr const char* kExecBackends[] = {"serial", "pool", "numa"};
+constexpr const char* kExecBackends[] = {"serial", "pool"};
 
 datagen::GeneratedData MakeData() {
   datagen::SyntheticConfig config;
@@ -307,7 +309,7 @@ TEST(ShardDeterminismTest, TrainingFromMappedStoreBitwiseMatchesInRam) {
 TEST(BackendSweepTest, TrainerBitwiseInvariantAcrossExecBackends) {
   // The acceptance bar for the pluggable backends: fitted parameters,
   // assignments, per-iteration objectives, and snapshot bytes are bitwise
-  // identical across serial|pool|numa x threads {1,2,8} x shards {1,3,7}.
+  // identical across serial|pool x threads {1,2,8} x shards {1,3,7}.
   // Backends only move scheduling; every reduction is per-element or an
   // exact integer count merged in fixed shard order, so this sweep holds
   // with operator== and no tolerances.
@@ -457,34 +459,83 @@ TEST(BackendSweepTest, EvalReportBitwiseInvariantAcrossExecBackends) {
   }
 }
 
-TEST(ShardDeterminismTest, EvalReportBitwiseInvariantAcrossThreads) {
+// The "current" dataset of an online refresh: `base` plus appended
+// actions on a few existing users and one brand-new user.
+Dataset GrowDataset(const Dataset& base) {
+  Dataset out(base.items());
+  for (UserId u = 0; u < base.num_users(); ++u) {
+    out.AddUser(base.user_name(u));
+    for (const Action& a : base.sequence(u)) {
+      EXPECT_TRUE(out.AddAction(u, a.time, a.item, a.rating).ok());
+    }
+  }
+  const int num_items = base.items().num_items();
+  for (const UserId u : {0, 5, 17, base.num_users() - 1}) {
+    const auto seq = base.sequence(u);
+    const int64_t start = seq.empty() ? 0 : seq.back().time + 1;
+    for (int k = 0; k < 6; ++k) {
+      EXPECT_TRUE(
+          out.AddAction(u, start + k, (u * 7 + k * 3) % num_items).ok());
+    }
+  }
+  const UserId fresh = out.AddUser("newcomer");
+  for (int k = 0; k < 12; ++k) {
+    EXPECT_TRUE(out.AddAction(fresh, 100 + k, (k * 5) % num_items).ok());
+  }
+  return out;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(BackendSweepTest, OnlineRefreshBitwiseInvariantAcrossExecBackends) {
+  // OnlineTrainer::Refresh dispatches its cache refresh and cell refits
+  // through the backend it is handed: parameters, assignments, the count
+  // grid, and checkpoint bytes must not depend on which one.
   const datagen::GeneratedData data = MakeData();
-  Rng rng(7);
-  auto split = MakeHoldoutSplit(data.dataset, HoldoutPosition::kLast, rng);
-  ASSERT_TRUE(split.ok());
+  const Dataset current = GrowDataset(data.dataset);
+  const std::string path = testing::TempDir() + "/det_online.ckpt";
 
-  const Trainer trainer(MakeConfig(1, 1));
-  auto trained = trainer.Train(split.value().train);
-  ASSERT_TRUE(trained.ok());
-
-  auto serial = eval::EvaluateItemPrediction(
-      split.value().train, trained.value().assignments, trained.value().model,
-      split.value().test, /*k=*/10, static_cast<ThreadPool*>(nullptr));
-  ASSERT_TRUE(serial.ok());
-  ASSERT_GT(serial.value().num_cases, 0u);
-
-  for (const int threads : {2, 8}) {
-    ThreadPool pool(threads);
-    auto parallel = eval::EvaluateItemPrediction(
-        split.value().train, trained.value().assignments,
-        trained.value().model, split.value().test, /*k=*/10, &pool);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(serial.value().accuracy_at_k, parallel.value().accuracy_at_k);
-    EXPECT_EQ(serial.value().mean_reciprocal_rank,
-              parallel.value().mean_reciprocal_rank);
-    EXPECT_EQ(serial.value().reciprocal_ranks,
-              parallel.value().reciprocal_ranks);
-    EXPECT_EQ(serial.value().num_cases, parallel.value().num_cases);
+  std::vector<std::vector<double>> base_params;
+  SkillAssignments base_assignments;
+  std::vector<double> base_counts;
+  std::string base_bytes;
+  bool have_base = false;
+  for (const char* name : kExecBackends) {
+    for (const int threads : kThreadCounts) {
+      SkillModelConfig config = MakeConfig(threads, 1);
+      config.transitions = TransitionModel::kGlobal;
+      config.backend = name;
+      OnlineTrainer online(config);
+      ASSERT_TRUE(online.TrainFullReplay(data.dataset).ok());
+      auto backend = exec::CreateBackend(name, threads);
+      ASSERT_TRUE(backend.ok());
+      auto stats = online.Refresh(data.dataset, current, backend.value().get());
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      ASSERT_EQ(stats.value().dirty_users, 5u);
+      ASSERT_TRUE(online.SaveCheckpoint(path).ok());
+      const std::string bytes = FileBytes(path);
+      const std::vector<double> counts(online.level_counts().begin(),
+                                       online.level_counts().end());
+      const std::string label = std::string("backend=") + name +
+                                " threads=" + std::to_string(threads);
+      if (!have_base) {
+        base_params = ModelParams(online.model());
+        base_assignments = online.assignments();
+        base_counts = counts;
+        base_bytes = bytes;
+        have_base = true;
+        continue;
+      }
+      EXPECT_EQ(base_params, ModelParams(online.model())) << label;
+      EXPECT_EQ(base_assignments, online.assignments()) << label;
+      EXPECT_EQ(base_counts, counts) << label;
+      EXPECT_EQ(base_bytes, bytes) << label;
+    }
   }
 }
 

@@ -1,8 +1,8 @@
 // Telemetry must be observation-only: training with metrics and tracing
 // enabled produces bitwise-identical models, assignments, and objectives
-// to training with both disabled, including under a multi-threaded pool.
-// Runs under UPSKILL_SANITIZE=thread as a race detector for the
-// instrumented MapShards / ThreadPool paths.
+// to training with both disabled, including on a multi-threaded pool
+// backend. Runs under UPSKILL_SANITIZE=thread as a race detector for the
+// instrumented MapShards / pool-backend paths.
 
 #include <gtest/gtest.h>
 

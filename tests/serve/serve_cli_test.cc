@@ -185,6 +185,39 @@ TEST_F(ServeCliTest, TrainWritesTraceAndMetricsDumps) {
   EXPECT_NE(metrics.rfind("# EOF\n"), std::string::npos);
 }
 
+TEST_F(ServeCliTest, EverySubcommandRejectsAnUnknownBackend) {
+  // Every subcommand that dispatches parallel work builds its backend
+  // with exec::CreateBackend, so a bad --backend name is an
+  // InvalidArgument error, never a silent fallback.
+  Run("generate synthetic " + dir_ + "/data --users 30 --seed 5");
+  Run("train " + dir_ + "/data " + dir_ + "/model.csv --levels 3");
+  Run("train " + dir_ + "/data " + dir_ + "/online.csv --levels 3 --online "
+      "--checkpoint " + dir_ + "/ck.bin");
+  const std::string data_model = dir_ + "/data " + dir_ + "/model.csv";
+  const std::vector<std::string> commands = {
+      "assign " + data_model + " --levels 3",
+      "summary " + data_model + " --levels 3",
+      "difficulty " + data_model + " --levels 3",
+      "recommend " + data_model + " --levels 3 --user 0",
+      "snapshot " + data_model + " " + dir_ + "/bogus.snap --levels 3",
+      "train " + dir_ + "/data " + dir_ + "/online2.csv --levels 3 "
+          "--online --checkpoint " + dir_ + "/ck.bin --previous " + dir_ +
+          "/data",
+      "train " + dir_ + "/data " + dir_ + "/model2.csv --levels 3",
+  };
+  const std::string log = dir_ + "/bogus.log";
+  for (const std::string& command : commands) {
+    const std::string line = std::string(UPSKILL_CLI_PATH) + " " + command +
+                             " --backend bogus < /dev/null > " + log +
+                             " 2>&1";
+    EXPECT_NE(std::system(line.c_str()), 0) << command;
+    EXPECT_NE(Slurp(log).find("InvalidArgument: unknown backend 'bogus'"),
+              std::string::npos)
+        << command << "\n" << Slurp(log);
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/bogus.snap"));
+}
+
 TEST_F(ServeCliTest, ServeRejectsMissingSnapshot) {
   const std::string command = std::string(UPSKILL_CLI_PATH) + " serve " +
                               dir_ + "/nope.snap < /dev/null > /dev/null 2>&1";
