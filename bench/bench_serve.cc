@@ -1,9 +1,10 @@
 // Serving-path benchmarks (google-benchmark): snapshot save/load, the
 // ServingModel precomputation, the O(S) streaming observe step, the
-// precomputed-ranking recommend walk, and the headline BM_ServeThroughput
-// — a 90% observe / 10% recommend request mix over 100k live sessions
-// executed through Server::ExecuteBatch on an 8-thread pool, the workload
-// the PR's >= 100k req/s acceptance bar is measured on (BENCH_PR3.json).
+// banded-ranking recommend per session level, and the headline
+// BM_ServeThroughput — a 90% observe / 10% recommend request mix over
+// 100k live sessions executed through Server::ExecuteBatch on an
+// 8-thread pool, the workload the PR's >= 100k req/s acceptance bar is
+// measured on (BENCH_PR3.json).
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -100,7 +101,7 @@ void BM_SnapshotLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotLoad);
 
-// The swap-time cost: full log-prob matrix + per-level rankings.
+// The swap-time cost: full log-prob matrix + per-level banded rankings.
 void BM_ServingModelBuild(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   std::unique_ptr<exec::Backend> pool;
@@ -128,22 +129,54 @@ void BM_ObserveAction(benchmark::State& state) {
 }
 BENCHMARK(BM_ObserveAction);
 
-// One recommend: a walk down the precomputed per-level ranking.
+// One recommend for a session at level Arg(0) of S = 5: 1 (lowest) and
+// 3 (middle) merge one difficulty band down to a full shortlist; 5 (top)
+// opens a stretch window above every catalog item, so the band it
+// visits is empty and the request returns no picks. The "picks" counter
+// reports the shortlist length.
 void BM_RecommendServing(benchmark::State& state) {
-  Server server(BenchServingModel());
-  if (!server.Observe("bench-user", 0, 0, false).ok()) {
-    state.SkipWithError("Observe failed");
+  const int level = static_cast<int>(state.range(0));
+  const std::shared_ptr<const ServingModel> model = BenchServingModel();
+  Server server(model);
+  // Drive the session to `level` with the item most typical of it: the
+  // largest log P(i | level) margin over every other level.
+  ItemId typical = 0;
+  double best_margin = -HUGE_VAL;
+  for (ItemId item = 0; item < model->num_items(); ++item) {
+    const std::span<const double> row = model->ItemRow(item);
+    double margin = HUGE_VAL;
+    for (int s = 1; s <= model->num_levels(); ++s) {
+      if (s != level) margin = std::min(margin, row[level - 1] - row[s - 1]);
+    }
+    if (margin > best_margin) {
+      best_margin = margin;
+      typical = item;
+    }
+  }
+  for (int n = 0; n < 32; ++n) {
+    if (!server.Observe("bench-user", typical, 0, false).ok()) {
+      state.SkipWithError("Observe failed");
+      return;
+    }
+  }
+  const Result<SessionLevel> reached = server.CurrentLevel("bench-user");
+  if (!reached.ok() || reached.value().level != level) {
+    state.SkipWithError("session did not reach the requested level");
     return;
   }
   UpskillRecommendationOptions options;
   options.max_results = 10;
   options.exclude_tried = false;
+  size_t picks = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(server.Recommend("bench-user", options));
+    const auto result = server.Recommend("bench-user", options);
+    picks = result.ok() ? result.value().size() : 0;
+    benchmark::DoNotOptimize(result);
   }
+  state.counters["picks"] = static_cast<double>(picks);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_RecommendServing);
+BENCHMARK(BM_RecommendServing)->Arg(1)->Arg(3)->Arg(5);
 
 // The headline throughput bench: 100k live sessions, request waves of a
 // 90% observe / 10% recommend mix, executed through the full request API

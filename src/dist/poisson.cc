@@ -23,13 +23,22 @@ constexpr double kMinRate = 1e-8;
 // table would cost more than it saves, so the plain loop runs instead.
 constexpr size_t kCountTable = 128;
 constexpr size_t kMinBatchForTable = 64;
+
+// The count `x` encodes, or -1 when it encodes none (NaN, ±inf, negative,
+// fractional, or past long long). The range test precedes the cast, which
+// is undefined for values long long cannot hold.
+long long CountOf(double x) {
+  if (!(x >= 0.0 && x < 0x1p63)) return -1;
+  const long long k = static_cast<long long>(x);
+  return static_cast<double>(k) == x ? k : -1;
+}
 }  // namespace
 
 Poisson::Poisson(double rate) : rate_(rate) { UPSKILL_CHECK(rate_ > 0.0); }
 
 double Poisson::LogProb(double x) const {
-  const long long k = static_cast<long long>(x);
-  if (k < 0 || static_cast<double>(k) != x) return kNegInf;
+  const long long k = CountOf(x);
+  if (k < 0) return kNegInf;
   return static_cast<double>(k) * std::log(rate_) - rate_ - LogFactorial(k);
 }
 
@@ -40,12 +49,10 @@ void Poisson::LogProbBatch(std::span<const double> xs,
   const double rate = rate_;
   if (xs.size() < kMinBatchForTable || !simd::VectorEnabled()) {
     for (size_t i = 0; i < xs.size(); ++i) {
-      const double x = xs[i];
-      const long long k = static_cast<long long>(x);
-      out[i] = (k < 0 || static_cast<double>(k) != x)
-                   ? kNegInf
-                   : static_cast<double>(k) * log_rate - rate -
-                         LogFactorial(k);
+      const long long k = CountOf(xs[i]);
+      out[i] = k < 0 ? kNegInf
+                     : static_cast<double>(k) * log_rate - rate -
+                           LogFactorial(k);
     }
     return;
   }
@@ -65,8 +72,8 @@ void Poisson::LogProbBatch(std::span<const double> xs,
     for (size_t i = 0; i < xs.size(); ++i) {
       const double x = xs[i];
       if (!(x >= static_cast<double>(kCountTable))) continue;
-      const long long k = static_cast<long long>(x);
-      if (k < 0 || static_cast<double>(k) != x) continue;
+      const long long k = CountOf(x);
+      if (k < 0) continue;
       out[i] = static_cast<double>(k) * log_rate - rate - LogFactorial(k);
     }
   }

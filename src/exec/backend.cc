@@ -1,6 +1,5 @@
 #include "exec/backend.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -73,7 +72,8 @@ void SerialBackend::RunIndexLoop(size_t begin, size_t end,
 }
 
 ThreadPoolBackend::ThreadPoolBackend(int num_threads)
-    : pool_(std::max(1, num_threads)) {}
+    : pool_(num_threads > 1 ? std::make_unique<ThreadPool>(num_threads)
+                            : nullptr) {}
 
 void ThreadPoolBackend::RunShards(int num_shards,
                                   const std::function<void(int shard)>& body) {
@@ -81,13 +81,13 @@ void ThreadPoolBackend::RunShards(int num_shards,
   // num_shards <= 8 * threads (the common case by construction of
   // ResolveShardCount), so shards are claimed one at a time off the
   // atomic counter — dynamic balancing with a per-call completion latch.
-  ParallelFor(&pool_, 0, static_cast<size_t>(num_shards),
+  ParallelFor(pool_.get(), 0, static_cast<size_t>(num_shards),
               [&body](size_t shard) { body(static_cast<int>(shard)); });
 }
 
 void ThreadPoolBackend::RunIndexLoop(
     size_t begin, size_t end, const std::function<void(size_t index)>& body) {
-  ParallelFor(&pool_, begin, end, body);
+  ParallelFor(pool_.get(), begin, end, body);
 }
 
 Backend* ResolveBackend(Backend* backend, Backend* installed) {

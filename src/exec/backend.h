@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 
 #include "common/thread_pool.h"
 
@@ -80,11 +81,13 @@ class SerialBackend : public Backend {
 /// thread, with a per-call completion latch (so nested Runs are safe).
 class ThreadPoolBackend : public Backend {
  public:
-  /// Owns a new pool with max(1, num_threads) workers.
+  /// Owns a new pool with num_threads workers. At num_threads <= 1 it
+  /// owns none: ParallelFor would run a one-worker pool inline on the
+  /// caller anyway, so that worker would only idle.
   explicit ThreadPoolBackend(int num_threads);
 
   const char* name() const override { return "pool"; }
-  int concurrency() const override { return ParallelMaxSlots(&pool_); }
+  int concurrency() const override { return ParallelMaxSlots(pool_.get()); }
 
  protected:
   void RunShards(int num_shards,
@@ -93,7 +96,7 @@ class ThreadPoolBackend : public Backend {
                     const std::function<void(size_t index)>& body) override;
 
  private:
-  ThreadPool pool_;
+  std::unique_ptr<ThreadPool> pool_;  // null: run inline
 };
 
 /// The one meaning of a driver's Backend* argument: `backend` when

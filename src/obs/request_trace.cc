@@ -299,31 +299,23 @@ std::string RenderFlightRecorderJson(const FlightRecorder& recorder) {
   std::unordered_set<uint64_t> seen;
   seen.reserve(recent.size() + retained.size());
 
-  std::string out;
-  out.reserve((recent.size() + retained.size()) * 160 + 64);
-  out += "{\"traceEvents\":[";
-  bool first = true;
+  ChromeTraceWriter writer;
   const auto append = [&](const RequestRecord& record, bool is_retained) {
     if (!seen.insert(record.id).second) return;
-    if (!first) out += ',';
-    first = false;
-    out += StringPrintf(
-        "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,"
-        "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"request_id\":%llu,"
-        "\"kind\":%d,\"error\":%s,\"shed\":%s,\"retained\":%s}}",
-        record.kind_name, record.thread,
-        static_cast<double>(record.start_ns) / 1e3,
-        static_cast<double>(record.duration_ns) / 1e3,
-        static_cast<unsigned long long>(record.id), record.kind_index,
-        record.error ? "true" : "false", record.shed ? "true" : "false",
-        is_retained ? "true" : "false");
+    writer.Add(record.kind_name, record.thread, record.start_ns,
+               record.duration_ns,
+               StringPrintf("\"request_id\":%llu,\"kind\":%d,\"error\":%s,"
+                            "\"shed\":%s,\"retained\":%s",
+                            static_cast<unsigned long long>(record.id),
+                            record.kind_index, record.error ? "true" : "false",
+                            record.shed ? "true" : "false",
+                            is_retained ? "true" : "false"));
   };
   // Retained first so a record that is both recent and tail-sampled
   // carries retained=true in the dump.
   for (const RequestRecord& record : retained) append(record, true);
   for (const RequestRecord& record : recent) append(record, false);
-  out += "]}\n";
-  return out;
+  return writer.Finish();
 }
 
 }  // namespace obs

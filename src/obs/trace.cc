@@ -86,39 +86,32 @@ double Span::StopSeconds() {
   return elapsed_seconds_;
 }
 
+void ChromeTraceWriter::Add(const char* name, int tid, int64_t start_ns,
+                            int64_t duration_ns, const std::string& args) {
+  if (out_.back() != '[') out_ += ',';
+  out_ += StringPrintf(
+      "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,"
+      "\"ts\":%.3f,\"dur\":%.3f",
+      name, tid, static_cast<double>(start_ns) / 1e3,
+      static_cast<double>(duration_ns) / 1e3);
+  if (!args.empty()) out_ += ",\"args\":{" + args + '}';
+  out_ += '}';
+}
+
 std::string RenderChromeTrace(const TraceRecorder& recorder) {
-  const std::vector<TraceEvent> events = recorder.Events();
-  std::string out;
-  out.reserve(events.size() * 96 + 64);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  for (const TraceEvent& event : events) {
-    if (!first) out += ',';
-    first = false;
-    out += StringPrintf(
-        "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,"
-        "\"ts\":%.3f,\"dur\":%.3f",
-        event.name, event.thread,
-        static_cast<double>(event.start_ns) / 1e3,
-        static_cast<double>(event.duration_ns) / 1e3);
-    if (event.shard >= 0 || event.iteration >= 0) {
-      out += ",\"args\":{";
-      bool first_arg = true;
-      if (event.shard >= 0) {
-        out += StringPrintf("\"shard\":%d", event.shard);
-        first_arg = false;
-      }
-      if (event.iteration >= 0) {
-        if (!first_arg) out += ',';
-        out += StringPrintf("\"iteration\":%lld",
-                            static_cast<long long>(event.iteration));
-      }
-      out += '}';
+  ChromeTraceWriter writer;
+  for (const TraceEvent& event : recorder.Events()) {
+    std::string args;
+    if (event.shard >= 0) args = StringPrintf("\"shard\":%d", event.shard);
+    if (event.iteration >= 0) {
+      args += StringPrintf(args.empty() ? "\"iteration\":%lld"
+                                        : ",\"iteration\":%lld",
+                           static_cast<long long>(event.iteration));
     }
-    out += '}';
+    writer.Add(event.name, event.thread, event.start_ns, event.duration_ns,
+               args);
   }
-  out += "]}\n";
-  return out;
+  return writer.Finish();
 }
 
 }  // namespace obs

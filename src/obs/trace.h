@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace upskill {
@@ -134,8 +135,21 @@ class Span {
   double elapsed_seconds_ = 0.0;
 };
 
-/// Chrome about://tracing JSON for the recorder's events: one complete
-/// ("ph":"X") event per span, microsecond timestamps, thread ids as tids,
+/// Builds Chrome about://tracing JSON ({"traceEvents":[...]}) one
+/// complete ("ph":"X") event at a time, timestamps in microseconds. `args`
+/// is the inside of the event's args object, left out when empty. The one
+/// renderer behind RenderChromeTrace and the flight recorder's /tracez.
+class ChromeTraceWriter {
+ public:
+  void Add(const char* name, int tid, int64_t start_ns, int64_t duration_ns,
+           const std::string& args);
+  std::string Finish() { return std::move(out_) + "]}\n"; }
+
+ private:
+  std::string out_ = "{\"traceEvents\":[";
+};
+
+/// The recorder's events as Chrome trace JSON: thread ids as tids,
 /// shard/iteration in args. Load via chrome://tracing or Perfetto.
 std::string RenderChromeTrace(const TraceRecorder& recorder);
 

@@ -11,6 +11,21 @@
 namespace upskill {
 namespace serve {
 
+namespace {
+
+// The one ranking order: log P(i | level) descending, ties toward the
+// smaller id. `level_index` is 0-based.
+bool RanksBefore(const std::vector<double>& log_probs, int levels,
+                 size_t level_index, ItemId a, ItemId b) {
+  const size_t stride = static_cast<size_t>(levels);
+  const double pa = log_probs[static_cast<size_t>(a) * stride + level_index];
+  const double pb = log_probs[static_cast<size_t>(b) * stride + level_index];
+  if (pa != pb) return pa > pb;
+  return a < b;
+}
+
+}  // namespace
+
 Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
     ModelSnapshot snapshot, exec::Backend* backend) {
   backend = exec::ResolveBackend(backend);
@@ -39,30 +54,50 @@ Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
   model->log_probs_ =
       model->snapshot_.model.ItemLogProbCache(model->snapshot_.items, backend);
 
-  const size_t num_items =
-      static_cast<size_t>(model->snapshot_.items.num_items());
-  model->ranked_.resize(static_cast<size_t>(levels) * num_items);
+  // Counting pass: each non-NaN item's band, then the band offsets. The
+  // clamp runs in double so ±inf and out-of-range difficulties cast
+  // safely. `base` lists the banded items grouped by band, ids ascending.
+  const std::vector<double>& difficulty = model->snapshot_.difficulty;
+  std::vector<int> band(difficulty.size(), -1);
+  std::vector<size_t>& band_begin = model->band_begin_;
+  band_begin.assign(static_cast<size_t>(levels) + 2, 0);
+  for (size_t i = 0; i < difficulty.size(); ++i) {
+    if (std::isnan(difficulty[i])) continue;
+    band[i] = static_cast<int>(std::clamp(std::ceil(difficulty[i]) - 1.0,
+                                          0.0, static_cast<double>(levels)));
+    ++band_begin[static_cast<size_t>(band[i]) + 1];
+  }
+  for (size_t b = 1; b < band_begin.size(); ++b) {
+    band_begin[b] += band_begin[b - 1];
+  }
+  const size_t banded = band_begin.back();
+  std::vector<ItemId> base(banded);
+  std::vector<size_t> next(band_begin.begin(), band_begin.end() - 1);
+  for (size_t i = 0; i < band.size(); ++i) {
+    if (band[i] >= 0) {
+      base[next[static_cast<size_t>(band[i])]++] = static_cast<ItemId>(i);
+    }
+  }
+
+  model->banded_.resize(static_cast<size_t>(levels) * banded);
   const std::vector<double>& log_probs = model->log_probs_;
-  // Per-level rankings are independent full sorts (uniform cost), so the
+  // Per-level rankings are independent sorts (uniform cost), so the
   // level axis gets the same contiguous shard plan the batch executor
-  // uses; each shard writes a disjoint slice of ranked_.
+  // uses; each shard writes a disjoint slice of banded_.
   const exec::ShardPlan plan = exec::ShardPlan::Contiguous(
       static_cast<size_t>(levels),
       exec::ResolveShardCount(0, backend, static_cast<size_t>(levels)));
   exec::MapShards(backend, plan.num_shards(), [&](int shard) {
     const exec::IndexRange range = plan.range(shard);
     for (size_t s = range.begin; s < range.end; ++s) {
-      ItemId* order = model->ranked_.data() + s * num_items;
-      for (size_t i = 0; i < num_items; ++i) {
-        order[i] = static_cast<ItemId>(i);
+      ItemId* order = model->banded_.data() + s * banded;
+      std::copy(base.begin(), base.end(), order);
+      for (size_t b = 0; b + 1 < band_begin.size(); ++b) {
+        std::sort(order + band_begin[b], order + band_begin[b + 1],
+                  [&](ItemId a, ItemId c) {
+                    return RanksBefore(log_probs, levels, s, a, c);
+                  });
       }
-      const size_t stride = static_cast<size_t>(levels);
-      std::sort(order, order + num_items, [&](ItemId a, ItemId b) {
-        const double pa = log_probs[static_cast<size_t>(a) * stride + s];
-        const double pb = log_probs[static_cast<size_t>(b) * stride + s];
-        if (pa != pb) return pa > pb;
-        return a < b;
-      });
     }
   });
   return std::shared_ptr<const ServingModel>(std::move(model));
@@ -75,10 +110,12 @@ Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshotFile(
   return FromSnapshot(std::move(snapshot).value(), backend);
 }
 
-std::span<const ItemId> ServingModel::RankedItems(int level) const {
-  const size_t num_items = static_cast<size_t>(this->num_items());
+std::span<const ItemId> ServingModel::BandItems(int level, int band) const {
+  const size_t banded = band_begin_.back();
+  const size_t begin = band_begin_[static_cast<size_t>(band)];
   return std::span<const ItemId>(
-      ranked_.data() + static_cast<size_t>(level - 1) * num_items, num_items);
+      banded_.data() + static_cast<size_t>(level - 1) * banded + begin,
+      band_begin_[static_cast<size_t>(band) + 1] - begin);
 }
 
 Result<std::vector<UpskillRecommendation>> ServingModel::Recommend(
@@ -98,19 +135,38 @@ Result<std::vector<UpskillRecommendation>> ServingModel::Recommend(
                          : current_level;
   const double lo = static_cast<double>(current_level);
   const double hi = lo + options.stretch;
+  // Every difficulty in (lo, hi] falls in bands current_level ..
+  // ceil(hi) - 1 (capped at S in double: hi may be +inf). Their heads
+  // merge in rank order; the window test below is the exact predicate,
+  // so items of the last band above hi are skipped, never returned.
+  const int last_band = static_cast<int>(
+      std::min(static_cast<double>(num_levels()), std::ceil(hi) - 1.0));
+  std::vector<std::span<const ItemId>> heads;
+  for (int b = current_level; b <= last_band; ++b) {
+    const std::span<const ItemId> items = BandItems(target, b);
+    if (!items.empty()) heads.push_back(items);
+  }
+  const size_t target_index = static_cast<size_t>(target - 1);
   const std::vector<double>& difficulty = snapshot_.difficulty;
-  const size_t stride = static_cast<size_t>(num_levels());
 
   std::vector<UpskillRecommendation> picks;
   picks.reserve(static_cast<size_t>(options.max_results));
-  for (const ItemId item : RankedItems(target)) {
+  while (!heads.empty() &&
+         static_cast<int>(picks.size()) < options.max_results) {
+    size_t best = 0;
+    for (size_t h = 1; h < heads.size(); ++h) {
+      if (RanksBefore(log_probs_, num_levels(), target_index,
+                      heads[h].front(), heads[best].front())) {
+        best = h;
+      }
+    }
+    const ItemId item = heads[best].front();
+    heads[best] = heads[best].subspan(1);
+    if (heads[best].empty()) heads.erase(heads.begin() + best);
     const double d = difficulty[static_cast<size_t>(item)];
-    if (std::isnan(d) || d <= lo || d > hi) continue;
+    if (!(d > lo && d <= hi)) continue;
     picks.push_back(UpskillRecommendation{
-        item, d,
-        log_probs_[static_cast<size_t>(item) * stride +
-                   static_cast<size_t>(target - 1)]});
-    if (static_cast<int>(picks.size()) == options.max_results) break;
+        item, d, ItemRow(item)[target_index]});
   }
   return picks;
 }

@@ -17,11 +17,20 @@ namespace serve {
 /// Immutable, request-ready view of a model snapshot. Construction does
 /// all the heavy lifting once — the full level×item log-probability
 /// matrix (via the batched LogProbBatch kernels behind
-/// SkillModel::ItemLogProbCache) and one descending-plausibility item
-/// ranking per level — so request handling touches only flat arrays:
-/// ObserveAction reads one S-sized row, Recommend walks one precomputed
-/// ranking and filters by the difficulty window instead of scanning and
-/// sorting the item universe per request.
+/// SkillModel::ItemLogProbCache) and, per level, one difficulty-banded
+/// item ranking — so request handling touches only flat arrays:
+/// ObserveAction reads one S-sized row, Recommend merges the heads of the
+/// few bands its stretch window overlaps.
+///
+/// Band b of a level holds the items whose difficulty d has
+/// clamp(ceil(d) - 1, 0, S) == b — band k covers (k, k+1], band 0 also
+/// everything at or below 1, band S everything above S — each band in
+/// rank order (log P(i | level) descending, ties toward the smaller id).
+/// Items with NaN difficulty are in no band. A user at level c is offered
+/// difficulties in (c, c + stretch], which lie in bands c ..
+/// min(S, ceil(c + stretch) - 1): one band when stretch <= 1, where a
+/// request costs O(max_results); an empty band, costing O(1), when no
+/// catalog item is harder than c (the top level of a [1, S] catalog).
 ///
 /// Instances are shared by `shared_ptr<const ServingModel>` between the
 /// server front end and in-flight requests, which is what makes
@@ -29,8 +38,8 @@ namespace serve {
 /// new requests pick up the new one, nothing blocks.
 class ServingModel {
  public:
-  /// Builds the serving view. The log-prob matrix and per-level ranking
-  /// precomputation dispatch through `backend` (null = serial); the
+  /// Builds the serving view. The log-prob matrix and per-level banded
+  /// ranking precomputation dispatch through `backend` (null = serial); the
   /// resulting view is bitwise identical either way.
   static Result<std::shared_ptr<const ServingModel>> FromSnapshot(
       ModelSnapshot snapshot, exec::Backend* backend = nullptr);
@@ -77,13 +86,13 @@ class ServingModel {
   }
   const ModelSnapshot& snapshot() const { return snapshot_; }
 
-  /// All items ordered by log P(i | level) descending, ties toward the
-  /// smaller id — the ranking RecommendForUpskilling sorts out per call.
-  std::span<const ItemId> RankedItems(int level) const;
+  /// Band `band` (0 .. S) of the ranking at `level` (1 .. S): its items
+  /// by log P(i | level) descending, ties toward the smaller id.
+  std::span<const ItemId> BandItems(int level, int band) const;
 
   /// Difficulty-windowed recommendation for a user currently at
-  /// `current_level`: walks RankedItems at the target level (next level
-  /// when `options.rank_by_next_level`, clamped to S) and keeps the first
+  /// `current_level`: ranks at the target level (next level when
+  /// `options.rank_by_next_level`, clamped to S) and keeps the first
   /// `options.max_results` items whose difficulty lies in
   /// (current_level, current_level + stretch]; NaN difficulties are
   /// skipped. Returns the same items in the same order as
@@ -99,8 +108,13 @@ class ServingModel {
   ModelSnapshot snapshot_;
   // [item * S + (level-1)]
   std::vector<double> log_probs_;
-  // ranked_[(level-1) * num_items + rank] = item id.
-  std::vector<ItemId> ranked_;
+  // banded_[(level-1) * B + rank] = item id, B = items with a non-NaN
+  // difficulty; every level's slice is grouped by band.
+  std::vector<ItemId> banded_;
+  // Band b spans [band_begin_[b], band_begin_[b+1]) of each level's
+  // slice; S + 2 entries. Bands depend on difficulty alone, so all
+  // levels share them.
+  std::vector<size_t> band_begin_;
   double log_down_ = 0.0;
 };
 

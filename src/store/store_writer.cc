@@ -67,6 +67,9 @@ StoreWriter::~StoreWriter() {
 
 Status StoreWriter::WriteRaw(const void* data, size_t size) {
   if (failed_) return Status::IoError("store writer already failed");
+  // fwrite's buffer must be non-null even for zero bytes, and an empty
+  // column's data() may be null.
+  if (size == 0) return Status::OK();
   if (std::fwrite(data, 1, size, file_) != size) {
     failed_ = true;
     return Status::IoError(

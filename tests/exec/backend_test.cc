@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
@@ -156,6 +157,31 @@ TEST(ThreadPoolBackendTest, OneWorkerPoolHasOneSlot) {
   EXPECT_EQ(backend.value()->concurrency(), 1);
   EXPECT_EQ(ResolveShardCount(0, backend.value().get(), 1000),
             kDefaultShardsPerSlot);
+}
+
+TEST(ThreadPoolBackendTest, OneThreadPoolStartsNoThread) {
+  // The one-worker pool runs every loop inline, so a worker thread would
+  // idle for the backend's lifetime; none may be started.
+  const auto threads = [] {
+    size_t count = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++count;
+    }
+    return count;
+  };
+  const size_t before = threads();
+  auto backend = CreateBackend("pool", 1);
+  ASSERT_TRUE(backend.ok());
+  EXPECT_EQ(threads(), before);
+  EXPECT_STREQ(backend.value()->name(), "pool");
+  EXPECT_EQ(backend.value()->concurrency(), 1);
+  int visited = 0;
+  backend.value()->Run(5, [&](int) { ++visited; });
+  EXPECT_EQ(visited, 5);
+  // Two threads still get real workers.
+  ThreadPoolBackend two(2);
+  EXPECT_EQ(threads(), before + 2);
 }
 
 TEST(ThreadPoolBackendTest, PoolMatchesSerialShardByShard) {
