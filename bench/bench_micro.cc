@@ -235,14 +235,37 @@ void BM_AssignSkillsReference(benchmark::State& state) {
 }
 BENCHMARK(BM_AssignSkillsReference)->Arg(1)->Arg(8);
 
+// The pipeline model's item cache at `levels` levels: level s of an item
+// reads the trained S = 5 row at level floor(5 * s / levels), so levels = 5
+// is the trained cache itself and every width sees the same values.
+std::vector<double> StretchedPipelineCache(int levels) {
+  const auto& trained = PipelineModel();
+  const std::vector<double> base =
+      trained.model.ItemLogProbCache(PipelineData().dataset.items());
+  const size_t base_levels = static_cast<size_t>(trained.model.num_levels());
+  const size_t width = static_cast<size_t>(levels);
+  const size_t num_items = base.size() / base_levels;
+  std::vector<double> cache(num_items * width);
+  for (size_t item = 0; item < num_items; ++item) {
+    for (size_t s = 0; s < width; ++s) {
+      cache[item * width + s] =
+          base[item * base_levels + base_levels * s / width];
+    }
+  }
+  return cache;
+}
+
 // Fused, arena-backed assignment pass: the engine reads the item-indexed
 // cache directly and reuses per-slot scratch, so steady-state iterations
-// allocate nothing. Arg(0) is the thread count.
+// allocate nothing. Arg(0) is the thread count, Arg(1) the number of
+// levels S: S <= 8 runs the fixed-width row update, S >= 9 the simd row
+// kernels (core/dp.cc), so the sweep shows both sides of that boundary.
 void BM_AssignSkills(benchmark::State& state) {
   const auto& data = PipelineData();
   const auto& trained = PipelineModel();
   const Dataset& dataset = data.dataset;
   const int threads = static_cast<int>(state.range(0));
+  const int levels = static_cast<int>(state.range(1));
   std::unique_ptr<exec::Backend> pool;
   ParallelOptions parallel;
   if (threads > 1) {
@@ -250,20 +273,28 @@ void BM_AssignSkills(benchmark::State& state) {
     parallel.num_threads = threads;
     parallel.users = true;
   }
-  const std::vector<double> cache =
-      trained.model.ItemLogProbCache(dataset.items());
-  AssignmentEngine engine(dataset, trained.model.num_levels());
+  const std::vector<double> cache = StretchedPipelineCache(levels);
+  // The model only supplies its (disabled) forgetting config here.
+  AssignmentEngine engine(dataset, levels);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         engine.Assign(trained.model, cache, nullptr, pool.get(), parallel));
   }
   state.counters["threads"] = threads;
+  state.counters["levels"] = levels;
   state.counters["shards"] = exec::ResolveShardCount(
       0, pool.get(), static_cast<size_t>(dataset.num_users()));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(dataset.num_actions()));
 }
-BENCHMARK(BM_AssignSkills)->Arg(1)->Arg(8);
+BENCHMARK(BM_AssignSkills)
+    ->ArgNames({"threads", "levels"})
+    ->Args({1, 5})
+    ->Args({8, 5})
+    ->Args({1, 8})
+    ->Args({1, 9})
+    ->Args({1, 12})
+    ->Args({1, 32});
 
 // Thread x shard sweep over the same fused pass: registered dynamically
 // in main() for every thread count in UPSKILL_BENCH_THREADS (see
@@ -656,7 +687,7 @@ void RegisterSimdBenches() {
                               batch_case.with_logs, force_scalar);
           });
     }
-    for (const int levels : {5, 32, 64}) {
+    for (const int levels : {5, 8, 9, 12, 32, 64}) {
       benchmark::RegisterBenchmark(
           ("BM_ForwardStepStreaming/levels:" + std::to_string(levels) + "/" +
            backend)

@@ -1,6 +1,7 @@
 #include "core/dp.h"
 
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -172,6 +173,161 @@ double BacktrackFused(const double* final_row, const uint8_t* from, size_t n,
   return best_ll;
 }
 
+// One row of Equation 4's recurrence, shared by every item-indexed kernel
+// and by the streaming step. The bottom and top levels are peeled so the
+// interior carries no stay-cost or boundary branch; each move choice is a
+// select (the comparison outcome is data-dependent and would otherwise
+// mispredict roughly half the time). Strict > keeps ties on "stay", which
+// keeps the path at the lowest attainable level; staying at the top level
+// is the only move there, so it is free (+ 0.0, which also turns a -0.0
+// into +0.0 exactly as the materialized solver does); the down-edge is
+// checked after stay/up. Same operations in the same order as
+// SolveMonotonePathWithTransitions / WithForgetting, so values and
+// backpointers are bitwise identical to them.
+//
+// kWidth > 0 fixes S at compile time: the loops unroll and a caller's
+// local rows stay in registers. kWidth == 0 reads S from `levels`
+// and runs the interior through simd::DpRowInterior[WithDown]. kDown opens
+// the forgetting down-edge for this transition; `from` receives the
+// backpointers when kTrack is set and is not touched otherwise.
+template <int kWidth, bool kDown, bool kTrack>
+inline void RowUpdate(const double* prev, const double* row, size_t levels,
+                      double log_stay, double log_up, double log_down,
+                      double* curr, uint8_t* from) {
+  const size_t width = kWidth > 0 ? static_cast<size_t>(kWidth) : levels;
+  {
+    double incoming = prev[0] + (width > 1 ? log_stay : 0.0);
+    uint8_t step = 0;
+    if (kDown && width > 1) {
+      const double down = prev[1] + log_down;
+      const bool down_wins = down > incoming;
+      incoming = down_wins ? down : incoming;
+      step = down_wins ? 2 : step;
+    }
+    curr[0] = incoming + row[0];
+    if (kTrack) from[0] = step;
+  }
+  if constexpr (kWidth > 0) {
+#pragma GCC unroll 8
+    for (size_t s = 1; s + 1 < width; ++s) {
+      const double stay = prev[s] + log_stay;
+      const double up = prev[s - 1] + log_up;
+      const bool up_wins = up > stay;
+      double incoming = up_wins ? up : stay;
+      uint8_t step = static_cast<uint8_t>(up_wins);
+      if (kDown) {
+        const double down = prev[s + 1] + log_down;
+        const bool down_wins = down > incoming;
+        incoming = down_wins ? down : incoming;
+        step = down_wins ? 2 : step;
+      }
+      curr[s] = incoming + row[s];
+      if (kTrack) from[s] = step;
+    }
+  } else if (kDown) {
+    simd::DpRowInteriorWithDown(prev, row, width, log_stay, log_up, log_down,
+                                curr, kTrack ? from : nullptr);
+  } else {
+    simd::DpRowInterior(prev, row, width, log_stay, log_up, curr,
+                        kTrack ? from : nullptr);
+  }
+  if (width > 1) {
+    const size_t s = width - 1;
+    const double stay = prev[s] + 0.0;
+    const double up = prev[s - 1] + log_up;
+    const bool up_wins = up > stay;
+    curr[s] = (up_wins ? up : stay) + row[s];
+    if (kTrack) from[s] = static_cast<uint8_t>(up_wins);
+  }
+}
+
+// Forward pass with backpointers over the item rows, then the backtrack.
+// A fixed width keeps both rows in local arrays that the unrolled row
+// update holds in registers (no per-row call, no arena round trip);
+// kWidth == 0 ping-pongs the scratch arena's two rows. Without
+// kForgetting `allow_down` is ignored.
+template <int kWidth, bool kForgetting>
+double SolveItems(const double* item_log_probs,
+                  std::span<const int32_t> items, size_t levels,
+                  std::span<const double> log_initial, double log_stay,
+                  double log_up, std::span<const uint8_t> allow_down,
+                  double log_down, DpScratch& scratch) {
+  const size_t width = kWidth > 0 ? static_cast<size_t>(kWidth) : levels;
+  const size_t n = items.size();
+  scratch.from.resize(n * width);
+  double local_rows[2 * (kWidth > 0 ? kWidth : 1)] = {};
+  double* prev = local_rows;
+  if constexpr (kWidth == 0) {
+    scratch.best_rows.resize(2 * width);
+    prev = scratch.best_rows.data();
+  }
+  double* curr = prev + width;
+
+  const double* first = item_log_probs + static_cast<size_t>(items[0]) * width;
+  for (size_t s = 0; s < width; ++s) {
+    prev[s] = first[s] + (log_initial.empty() ? 0.0 : log_initial[s]);
+  }
+  for (size_t t = 1; t < n; ++t) {
+    const double* row = item_log_probs + static_cast<size_t>(items[t]) * width;
+    uint8_t* from_row = scratch.from.data() + t * width;
+    if (kForgetting && allow_down[t - 1] != 0) {
+      RowUpdate<kWidth, true, true>(prev, row, width, log_stay, log_up,
+                                    log_down, curr, from_row);
+    } else {
+      RowUpdate<kWidth, false, true>(prev, row, width, log_stay, log_up,
+                                     log_down, curr, from_row);
+    }
+    if constexpr (kWidth > 0) {
+      for (size_t s = 0; s < width; ++s) prev[s] = curr[s];
+    } else {
+      std::swap(prev, curr);
+    }
+  }
+  return BacktrackFused(prev, scratch.from.data(), n, width, &scratch.levels);
+}
+
+// Calls fn(std::integral_constant<int, S>{}) for a row width S in [1, 8],
+// which covers the paper's operating range (S = 5; Fig. 3 sweeps 2..8),
+// and fn(std::integral_constant<int, 0>{}) (the runtime-width body) for
+// wider rows, where the simd row kernels pay off (DESIGN.md, assignment
+// step).
+template <typename Fn>
+decltype(auto) WithRowWidth(size_t levels, Fn&& fn) {
+  switch (levels) {
+    case 1: return fn(std::integral_constant<int, 1>{});
+    case 2: return fn(std::integral_constant<int, 2>{});
+    case 3: return fn(std::integral_constant<int, 3>{});
+    case 4: return fn(std::integral_constant<int, 4>{});
+    case 5: return fn(std::integral_constant<int, 5>{});
+    case 6: return fn(std::integral_constant<int, 6>{});
+    case 7: return fn(std::integral_constant<int, 7>{});
+    case 8: return fn(std::integral_constant<int, 8>{});
+    default: return fn(std::integral_constant<int, 0>{});
+  }
+}
+
+// Validates the shapes and sends the row width to its instantiation.
+template <bool kForgetting>
+double SolveItemsDispatch(std::span<const double> item_log_probs,
+                          std::span<const int32_t> items, int num_levels,
+                          std::span<const double> log_initial, double log_stay,
+                          double log_up, std::span<const uint8_t> allow_down,
+                          double log_down, DpScratch& scratch) {
+  UPSKILL_CHECK(num_levels >= 1);
+  UPSKILL_CHECK(log_initial.empty() ||
+                log_initial.size() == static_cast<size_t>(num_levels));
+  const size_t n = items.size();
+  scratch.levels.resize(n);
+  if (n == 0) return 0.0;
+  if (kForgetting) UPSKILL_CHECK(allow_down.size() == n - 1);
+  const size_t levels = static_cast<size_t>(num_levels);
+  return WithRowWidth(levels, [&](auto width) {
+    return SolveItems<decltype(width)::value, kForgetting>(
+        item_log_probs.data(), items, levels, log_initial, log_stay, log_up,
+        allow_down, log_down, scratch);
+  });
+}
+
 }  // namespace
 
 double SolveMonotonePathItems(std::span<const double> item_log_probs,
@@ -179,51 +335,10 @@ double SolveMonotonePathItems(std::span<const double> item_log_probs,
                               std::span<const double> log_initial,
                               double log_stay, double log_up,
                               DpScratch& scratch) {
-  UPSKILL_CHECK(num_levels >= 1);
-  UPSKILL_CHECK(log_initial.empty() ||
-                log_initial.size() == static_cast<size_t>(num_levels));
-  const size_t n = items.size();
-  scratch.levels.resize(n);
-  if (n == 0) return 0.0;
-  const size_t levels = static_cast<size_t>(num_levels);
-
-  scratch.best_rows.resize(2 * levels);
-  scratch.from.resize(n * levels);
-  double* prev = scratch.best_rows.data();
-  double* curr = prev + levels;
-
-  const double* first = item_log_probs.data() +
-                        static_cast<size_t>(items[0]) * levels;
-  for (size_t s = 0; s < levels; ++s) {
-    prev[s] = first[s] + (log_initial.empty() ? 0.0 : log_initial[s]);
-  }
-  for (size_t t = 1; t < n; ++t) {
-    const double* row = item_log_probs.data() +
-                        static_cast<size_t>(items[t]) * levels;
-    uint8_t* from_row = scratch.from.data() + t * levels;
-    // The bottom and top levels are peeled so the interior kernel carries
-    // no stay-cost or boundary branch; the up-vs-stay choice is a select
-    // (the comparison outcome is data-dependent and would otherwise
-    // mispredict roughly half the time), vectorized across levels by
-    // simd::DpRowInterior. Strict > keeps ties on "stay", which keeps the
-    // path at the lowest attainable level; values and backpointers stay
-    // bitwise identical to the materialized solver on every backend.
-    curr[0] = prev[0] + (levels > 1 ? log_stay : 0.0) + row[0];
-    from_row[0] = 0;
-    simd::DpRowInterior(prev, row, levels, log_stay, log_up, curr, from_row);
-    if (levels > 1) {
-      // Staying at the top level is the only move there, so it is free.
-      const size_t s = levels - 1;
-      const double stay = prev[s] + 0.0;
-      const double up = prev[s - 1] + log_up;
-      const bool up_wins = up > stay;
-      curr[s] = (up_wins ? up : stay) + row[s];
-      from_row[s] = static_cast<uint8_t>(up_wins);
-    }
-    std::swap(prev, curr);
-  }
-  return BacktrackFused(prev, scratch.from.data(), n, levels,
-                        &scratch.levels);
+  return SolveItemsDispatch<false>(item_log_probs, items, num_levels,
+                                   log_initial, log_stay, log_up,
+                                   /*allow_down=*/{}, /*log_down=*/0.0,
+                                   scratch);
 }
 
 double SolveMonotonePathItemsWithForgetting(
@@ -231,64 +346,9 @@ double SolveMonotonePathItemsWithForgetting(
     int num_levels, std::span<const double> log_initial, double log_stay,
     double log_up, std::span<const uint8_t> allow_down, double log_down,
     DpScratch& scratch) {
-  UPSKILL_CHECK(num_levels >= 1);
-  UPSKILL_CHECK(log_initial.empty() ||
-                log_initial.size() == static_cast<size_t>(num_levels));
-  const size_t n = items.size();
-  scratch.levels.resize(n);
-  if (n == 0) return 0.0;
-  UPSKILL_CHECK(allow_down.size() == n - 1);
-  const size_t levels = static_cast<size_t>(num_levels);
-
-  scratch.best_rows.resize(2 * levels);
-  scratch.from.resize(n * levels);
-  double* prev = scratch.best_rows.data();
-  double* curr = prev + levels;
-
-  const double* first = item_log_probs.data() +
-                        static_cast<size_t>(items[0]) * levels;
-  for (size_t s = 0; s < levels; ++s) {
-    prev[s] = first[s] + (log_initial.empty() ? 0.0 : log_initial[s]);
-  }
-  for (size_t t = 1; t < n; ++t) {
-    const double* row = item_log_probs.data() +
-                        static_cast<size_t>(items[t]) * levels;
-    uint8_t* from_row = scratch.from.data() + t * levels;
-    const bool down_open = allow_down[t - 1] != 0;
-    // Same peeled, branchless structure as SolveMonotonePathItems; the
-    // down-edge is checked after stay/up exactly as in the materialized
-    // solver so backpointers stay bitwise identical.
-    {
-      double incoming = prev[0] + (levels > 1 ? log_stay : 0.0);
-      uint8_t step = 0;
-      if (levels > 1 && down_open) {
-        const double down = prev[1] + log_down;
-        const bool down_wins = down > incoming;
-        incoming = down_wins ? down : incoming;
-        step = down_wins ? 2 : step;
-      }
-      curr[0] = incoming + row[0];
-      from_row[0] = step;
-    }
-    if (down_open) {
-      simd::DpRowInteriorWithDown(prev, row, levels, log_stay, log_up,
-                                  log_down, curr, from_row);
-    } else {
-      simd::DpRowInterior(prev, row, levels, log_stay, log_up, curr,
-                          from_row);
-    }
-    if (levels > 1) {
-      const size_t s = levels - 1;
-      const double stay = prev[s] + 0.0;
-      const double up = prev[s - 1] + log_up;
-      const bool up_wins = up > stay;
-      curr[s] = (up_wins ? up : stay) + row[s];
-      from_row[s] = static_cast<uint8_t>(up_wins);
-    }
-    std::swap(prev, curr);
-  }
-  return BacktrackFused(prev, scratch.from.data(), n, levels,
-                        &scratch.levels);
+  return SolveItemsDispatch<true>(item_log_probs, items, num_levels,
+                                  log_initial, log_stay, log_up, allow_down,
+                                  log_down, scratch);
 }
 
 void MonotoneForwardStart(std::span<const double> item_row,
@@ -312,33 +372,21 @@ void MonotoneForwardStep(std::span<const double> prev_column,
   UPSKILL_CHECK(item_row.size() >= levels);
   UPSKILL_CHECK(next_column.size() == levels);
   UPSKILL_CHECK(next_column.data() != prev_column.data());
+  // The same row update as the item-indexed kernels, so the column stays
+  // bitwise equal to the batch best-row.
   const double* prev = prev_column.data();
   const double* row = item_row.data();
   double* curr = next_column.data();
-  // Mirrors the peeled structure of the item-indexed kernels exactly
-  // (stay/up select with strict >, down-edge checked after, free stay at
-  // the top) so the column stays bitwise equal to the batch best-row.
-  {
-    double incoming = prev[0] + (levels > 1 ? log_stay : 0.0);
-    if (levels > 1 && allow_down) {
-      const double down = prev[1] + log_down;
-      incoming = down > incoming ? down : incoming;
+  WithRowWidth(levels, [&](auto width) {
+    constexpr int kWidth = decltype(width)::value;
+    if (allow_down) {
+      RowUpdate<kWidth, true, false>(prev, row, levels, log_stay, log_up,
+                                     log_down, curr, /*from=*/nullptr);
+    } else {
+      RowUpdate<kWidth, false, false>(prev, row, levels, log_stay, log_up,
+                                      log_down, curr, /*from=*/nullptr);
     }
-    curr[0] = incoming + row[0];
-  }
-  if (allow_down) {
-    simd::DpRowInteriorWithDown(prev, row, levels, log_stay, log_up, log_down,
-                                curr, /*from=*/nullptr);
-  } else {
-    simd::DpRowInterior(prev, row, levels, log_stay, log_up, curr,
-                        /*from=*/nullptr);
-  }
-  if (levels > 1) {
-    const size_t s = levels - 1;
-    const double stay = prev[s] + 0.0;
-    const double up = prev[s - 1] + log_up;
-    curr[s] = (up > stay ? up : stay) + row[s];
-  }
+  });
 }
 
 int MonotoneForwardLevel(std::span<const double> column) {

@@ -57,6 +57,7 @@ MonotonePath SolveMonotonePathWithForgetting(
 /// allocation-free in the steady state.
 struct DpScratch {
   /// Rolling best rows; laid out as [2 * S], ping-ponged by the kernels.
+  /// Used for S >= 9 only: narrower rows stay in registers.
   std::vector<double> best_rows;
   /// Backpointers, [t * S + s]: 0 = stay, 1 = came from one level below
   /// ("improve"), 2 = came from one level above (forgetting only).
@@ -80,7 +81,8 @@ struct DpScratch {
 /// its log-likelihood. Levels and log-likelihood are bitwise identical to
 /// the materialized solver on the gathered lattice, including the
 /// ties-to-lowest-level rule. Pass log_initial empty and zero costs to
-/// reproduce SolveMonotonePath.
+/// reproduce SolveMonotonePath. Widths S <= 8 run a fixed-width unrolled
+/// row update; wider rows run the simd row kernels (same results).
 double SolveMonotonePathItems(std::span<const double> item_log_probs,
                               std::span<const int32_t> items, int num_levels,
                               std::span<const double> log_initial,
@@ -103,10 +105,11 @@ double SolveMonotonePathItemsWithForgetting(
 /// reads nothing but the previous column — so a live session can carry a
 /// single S-sized column and update it in O(S) per observed action.
 ///
-/// The arithmetic (operation order, peeled bottom/top rows, strict-`>`
-/// tie-breaking toward "stay", free self-transition at the top level, the
-/// down-edge checked after stay/up) mirrors SolveMonotonePathItems /
-/// SolveMonotonePathItemsWithForgetting term by term, so after feeding a
+/// The step runs the same row update as SolveMonotonePathItems /
+/// SolveMonotonePathItemsWithForgetting (operation order, peeled
+/// bottom/top rows, strict-`>` tie-breaking toward "stay", free
+/// self-transition at the top level, the down-edge checked after stay/up),
+/// so after feeding a
 /// prefix of a user's item rows through Start + Step the column is bitwise
 /// equal to the final best-row of the batch kernel on that prefix, and
 /// MonotoneForwardLevel equals the tail level of the batch path (the

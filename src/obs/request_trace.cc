@@ -66,28 +66,10 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options)
   }
 }
 
-void FlightRecorder::KeptRecord(Stripe& stripe, int kind_index,
-                                const char* kind_name,
-                                std::chrono::steady_clock::time_point start,
-                                int64_t duration_ns, uint64_t id) {
-  RequestRecord record;
-  record.id = id != 0 ? id : NextRequestId();
-  record.kind_name = kind_name;
-  record.kind_index = kind_index;
-  record.start_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(start - epoch_)
-          .count();
-  record.duration_ns = duration_ns;
-  record.thread = CurrentThreadId();
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  stripe.ring[stripe.head % stripe_capacity_] = record;
-  ++stripe.head;
-}
-
-void FlightRecorder::RecordSlow(int kind_index, const char* kind_name,
-                                std::chrono::steady_clock::time_point start,
-                                int64_t duration_ns, bool error, bool shed,
-                                bool slow_candidate, uint64_t id) {
+RequestRecord FlightRecorder::MakeRecord(
+    int kind_index, const char* kind_name,
+    std::chrono::steady_clock::time_point start, int64_t duration_ns,
+    bool error, bool shed, uint64_t id) const {
   RequestRecord record;
   record.id = id != 0 ? id : NextRequestId();
   record.kind_name = kind_name;
@@ -99,52 +81,76 @@ void FlightRecorder::RecordSlow(int kind_index, const char* kind_name,
   record.thread = CurrentThreadId();
   record.error = error;
   record.shed = shed;
+  return record;
+}
 
-  // Tail retention first: errors and sheds always survive, regardless of
-  // main-ring thinning or overwrite.
-  if (error || shed) {
+void FlightRecorder::RetainTail(const RequestRecord& record,
+                                bool slow_candidate) {
+  // Errors and sheds always survive, regardless of main-ring thinning or
+  // overwrite.
+  if (record.error || record.shed) {
     std::lock_guard<std::mutex> lock(error_mutex_);
     if (!error_ring_.empty()) {
       error_ring_[error_head_ % error_ring_.size()] = record;
       ++error_head_;
     }
-    if (error) errors_retained_.fetch_add(1, std::memory_order_relaxed);
-    if (shed) sheds_retained_.fetch_add(1, std::memory_order_relaxed);
+    if (record.error) errors_retained_.fetch_add(1, std::memory_order_relaxed);
+    if (record.shed) sheds_retained_.fetch_add(1, std::memory_order_relaxed);
   }
+  if (!slow_candidate) return;
 
   // Slowest-per-kind insert under the table mutex; the candidacy check
   // re-runs against the rows themselves, so a stale lock-free floor only
-  // costs a lock acquisition, never a wrong insert.
-  if (slow_candidate) {
-    SlowTable& table = slow_[kind_index];
-    std::lock_guard<std::mutex> lock(table.mutex);
-    if (table.used < table.rows.size()) {
-      table.rows[table.used++] = record;
-    } else {
-      size_t min_index = 0;
-      for (size_t i = 1; i < table.rows.size(); ++i) {
-        if (table.rows[i].duration_ns < table.rows[min_index].duration_ns) {
-          min_index = i;
-        }
+  // costs a lock acquisition, never a wrong insert. A rejected candidate
+  // leaves the rows, and so the floor, unchanged.
+  SlowTable& table = slow_[record.kind_index];
+  std::lock_guard<std::mutex> lock(table.mutex);
+  if (table.used < table.rows.size()) {
+    table.rows[table.used++] = record;
+  } else {
+    size_t min_index = 0;
+    for (size_t i = 1; i < table.rows.size(); ++i) {
+      if (table.rows[i].duration_ns < table.rows[min_index].duration_ns) {
+        min_index = i;
       }
-      if (record.duration_ns <= table.rows[min_index].duration_ns) {
-        return MainRingRecord(record);
-      }
-      table.rows[min_index] = record;
     }
-    if (table.used == table.rows.size()) {
-      int64_t new_min = table.rows[0].duration_ns;
-      for (size_t i = 1; i < table.used; ++i) {
-        new_min = std::min(new_min, table.rows[i].duration_ns);
-      }
-      const int64_t new_floor_us = new_min / 1000;
-      floor_us_[kind_index].store(
-          new_floor_us > INT32_MAX ? INT32_MAX
-                                   : static_cast<int32_t>(new_floor_us),
-          std::memory_order_relaxed);
-    }
+    if (record.duration_ns <= table.rows[min_index].duration_ns) return;
+    table.rows[min_index] = record;
   }
+  if (table.used == table.rows.size()) {
+    int64_t new_min = table.rows[0].duration_ns;
+    for (size_t i = 1; i < table.used; ++i) {
+      new_min = std::min(new_min, table.rows[i].duration_ns);
+    }
+    const int64_t new_floor_us = new_min / 1000;
+    floor_us_[record.kind_index].store(
+        new_floor_us > INT32_MAX ? INT32_MAX
+                                 : static_cast<int32_t>(new_floor_us),
+        std::memory_order_relaxed);
+  }
+}
 
+void FlightRecorder::PushRing(Stripe& stripe, const RequestRecord& record) {
+  std::lock_guard<std::mutex> lock(stripe.mutex);
+  stripe.ring[stripe.head % stripe_capacity_] = record;
+  ++stripe.head;
+}
+
+void FlightRecorder::KeptRecord(Stripe& stripe, int kind_index,
+                                const char* kind_name,
+                                std::chrono::steady_clock::time_point start,
+                                int64_t duration_ns, uint64_t id) {
+  PushRing(stripe, MakeRecord(kind_index, kind_name, start, duration_ns,
+                              /*error=*/false, /*shed=*/false, id));
+}
+
+void FlightRecorder::RecordSlow(int kind_index, const char* kind_name,
+                                std::chrono::steady_clock::time_point start,
+                                int64_t duration_ns, bool error, bool shed,
+                                bool slow_candidate, uint64_t id) {
+  const RequestRecord record =
+      MakeRecord(kind_index, kind_name, start, duration_ns, error, shed, id);
+  RetainTail(record, slow_candidate);
   MainRingRecord(record);
 }
 
@@ -153,66 +159,16 @@ void FlightRecorder::RecordAdmitted(bool cadence, int kind_index,
                                     std::chrono::steady_clock::time_point start,
                                     int64_t duration_ns, bool error, bool shed,
                                     bool slow_candidate, uint64_t id) {
-  RequestRecord record;
-  record.id = id != 0 ? id : NextRequestId();
-  record.kind_name = kind_name;
-  record.kind_index = kind_index;
-  record.start_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(start - epoch_)
-          .count();
-  record.duration_ns = duration_ns;
-  record.thread = CurrentThreadId();
-  record.error = error;
-  record.shed = shed;
-
-  if (error || shed) {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    if (!error_ring_.empty()) {
-      error_ring_[error_head_ % error_ring_.size()] = record;
-      ++error_head_;
-    }
-    if (error) errors_retained_.fetch_add(1, std::memory_order_relaxed);
-    if (shed) sheds_retained_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  if (slow_candidate) {
-    SlowTable& table = slow_[kind_index];
-    std::lock_guard<std::mutex> lock(table.mutex);
-    if (table.used < table.rows.size()) {
-      table.rows[table.used++] = record;
-    } else {
-      size_t min_index = 0;
-      for (size_t i = 1; i < table.rows.size(); ++i) {
-        if (table.rows[i].duration_ns < table.rows[min_index].duration_ns) {
-          min_index = i;
-        }
-      }
-      if (record.duration_ns > table.rows[min_index].duration_ns) {
-        table.rows[min_index] = record;
-      }
-    }
-    if (table.used == table.rows.size()) {
-      int64_t new_min = table.rows[0].duration_ns;
-      for (size_t i = 1; i < table.used; ++i) {
-        new_min = std::min(new_min, table.rows[i].duration_ns);
-      }
-      const int64_t new_floor_us = new_min / 1000;
-      floor_us_[kind_index].store(
-          new_floor_us > INT32_MAX ? INT32_MAX
-                                   : static_cast<int32_t>(new_floor_us),
-          std::memory_order_relaxed);
-    }
-  }
-
+  const RequestRecord record =
+      MakeRecord(kind_index, kind_name, start, duration_ns, error, shed, id);
+  RetainTail(record, slow_candidate);
   // The cadence rep represents its whole sampling block in the main
   // ring and in the offered count; non-cadence admissions live in tail
   // retention only, so the block accounting stays sum-exact.
   if (!cadence) return;
   Stripe& stripe = stripes_[StripeFor()];
   stripe.offered.fetch_add(options_.sample_every, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  stripe.ring[stripe.head % stripe_capacity_] = record;
-  ++stripe.head;
+  PushRing(stripe, record);
 }
 
 void FlightRecorder::MainRingRecord(const RequestRecord& record) {
@@ -220,9 +176,7 @@ void FlightRecorder::MainRingRecord(const RequestRecord& record) {
   const uint64_t offered =
       stripe.offered.fetch_add(1, std::memory_order_relaxed);
   if (SampledOut(offered)) return;
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  stripe.ring[stripe.head % stripe_capacity_] = record;
-  ++stripe.head;
+  PushRing(stripe, record);
 }
 
 std::vector<RequestRecord> FlightRecorder::Recent() const {

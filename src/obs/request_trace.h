@@ -227,6 +227,16 @@ class FlightRecorder {
                       bool slow_candidate, uint64_t id);
   /// Push into the calling thread's ring stripe, honoring sample_every.
   void MainRingRecord(const RequestRecord& record);
+  /// The record every continuation above keeps (id assigned when 0).
+  RequestRecord MakeRecord(int kind_index, const char* kind_name,
+                           std::chrono::steady_clock::time_point start,
+                           int64_t duration_ns, bool error, bool shed,
+                           uint64_t id) const;
+  /// Tail retention: the error/shed ring, then the kind's slowest table
+  /// and its lock-free floor mirror when `slow_candidate`.
+  void RetainTail(const RequestRecord& record, bool slow_candidate);
+  /// Writes `record` into `stripe`'s ring slot under the stripe mutex.
+  void PushRing(Stripe& stripe, const RequestRecord& record);
 
   // Fast-path members first: the sampled-out steady state reads the
   // sampling config, one floor, and the stripe base/mask — laid out

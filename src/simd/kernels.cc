@@ -13,14 +13,21 @@
 //   LookupLogProbBatch       x          (needs gather)
 //   GammaLogProbBatch        x     x
 //   LogNormalLogProbBatch    x     x
-//   DpRowInterior            x     x
-//   DpRowInteriorWithDown    x     x
+//   DpRowInterior            x     x    (S >= 9 only; see below)
+//   DpRowInteriorWithDown    x     x    (S >= 9 only; see below)
 //   QuantizedForwardStep     x          (the per-action serve hot path)
 //   QuantizedForwardInit               (once per session — not hot)
 //   QuantizedForwardLevel              (S-element argmax — not hot)
 //
 // The dispatch check is one predictable branch per kernel call; every
 // call amortizes it over a whole batch / DP row.
+//
+// The DP row kernels serve only rows of S >= 9 levels: core/dp.cc runs
+// S <= 8 through an inline fixed-width body whose rows stay in
+// registers (7.3 ns per action at S = 5, 9.2 at S = 8). Above that, on a
+// 4-vCPU AVX2 host (bench_micro BM_AssignSkills, ns per action, avx2 /
+// forced scalar): S = 9 16.2 / 15.2, S = 12 17.7 / 18.3, S = 32
+// 24.2 / 35.1 — the vector body pays off only for wide rows.
 
 namespace upskill {
 namespace simd {

@@ -4,9 +4,13 @@
 namespace upskill {
 namespace simd {
 
-/// Vector backend driving the hot kernels (batched log-probs, the two-row
-/// assignment DP, the streaming forward column, the quantized serving
-/// step). The backend is picked once per process:
+/// Vector backend driving the hot kernels (batched log-probs, the
+/// assignment DP's row interior for S >= 9, the quantized serving step).
+/// Rows of S <= 8 levels never reach a simd kernel: core/dp.cc runs them
+/// through a fixed-width, fully unrolled body that keeps both rows in
+/// registers. The row kernels tie or lose to the scalar ones up to
+/// S = 12 and win at S = 32 on a 4-vCPU AVX2 host (crossover numbers in
+/// kernels.cc). The backend is picked once per process:
 ///
 ///   compile time  — kAvx2 on x86-64 (the AVX2 bodies live in a dedicated
 ///                   translation unit built with -mavx2), kNeon on
