@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -21,15 +20,11 @@
 #include "bench/common.h"
 #include "common/rng.h"
 #include "core/difficulty.h"
-#include "core/dp.h"
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
-#include "serve/quantized_model.h"
 #include "serve/server.h"
 #include "serve/serving_model.h"
 #include "serve/snapshot.h"
-#include "simd/kernels.h"
-#include "simd/simd.h"
 
 namespace upskill {
 namespace serve {
@@ -232,164 +227,11 @@ BENCHMARK(BM_ServeThroughput)
     ->Args({1, 100000})
     ->Unit(benchmark::kMillisecond);
 
-// ---------------------------------------------------------------------
-// Quantized serving benches (scripts/bench.sh --suites simd). The step
-// family is the serve-side streaming DP measured four ways over one
-// synthetic fixture — the double column with the scalar backend forced
-// (the pre-quantization serve path and the baseline the BENCH_PR6.json
-// >= 3x bar is measured against), the double column on the compiled
-// backend, and the int16 quantized column on the scalar and dispatched
-// kernels. The observe family is the same comparison end to end through
-// Server::Observe (shard lock, session map and recommend bookkeeping
-// included).
-
-constexpr size_t kStepItems = 512;
-constexpr size_t kStepSeq = 1024;
-
-void ServeQuantizedStepBench(benchmark::State& state, int levels,
-                             bool quantized, bool force_scalar) {
-  Rng rng(31);
-  const size_t num_levels = static_cast<size_t>(levels);
-  std::vector<double> rows(kStepItems * num_levels);
-  for (double& v : rows) v = -10.0 * rng.NextDouble();
-
-  // Quantize each synthetic row with the production format from
-  // serve/quantized_model.h: int16 residual lanes at a per-item scale
-  // plus a Q15 multiplier back into kQuantAccScale accumulator units.
-  std::vector<int16_t> qrows(rows.size());
-  std::vector<int16_t> mults(kStepItems);
-  for (size_t item = 0; item < kStepItems; ++item) {
-    const double* row = rows.data() + item * num_levels;
-    double row_max = row[0];
-    for (size_t s = 1; s < num_levels; ++s) {
-      row_max = std::max(row_max, row[s]);
-    }
-    double range = 0.0;
-    for (size_t s = 0; s < num_levels; ++s) {
-      range = std::max(range,
-                       std::min(row_max - row[s], kQuantResidualRange));
-    }
-    for (size_t s = 0; s < num_levels; ++s) {
-      const double residual = -std::min(row_max - row[s], kQuantResidualRange);
-      qrows[item * num_levels + s] =
-          range == 0.0 ? int16_t{0}
-                       : static_cast<int16_t>(
-                             std::lround(residual * 32767.0 / range));
-    }
-    mults[item] = static_cast<int16_t>(
-        std::lround(kQuantAccScale * range / 32767.0 * 32768.0));
-  }
-
-  std::vector<int32_t> items(kStepSeq);
-  for (int32_t& item : items) {
-    item = static_cast<int32_t>(rng.NextInt(static_cast<int64_t>(kStepItems)));
-  }
-  const double log_stay = std::log(0.9);
-  const double log_up = std::log(0.1);
-  const int16_t q_stay =
-      static_cast<int16_t>(std::lround(log_stay * kQuantAccScale));
-  const int16_t q_up =
-      static_cast<int16_t>(std::lround(log_up * kQuantAccScale));
-
-  simd::ForceScalarForTest(force_scalar);
-  if (quantized) {
-    std::vector<int16_t> column(num_levels);
-    std::vector<int16_t> next(num_levels);
-    for (auto _ : state) {
-      simd::QuantizedForwardInit(
-          qrows.data() + static_cast<size_t>(items[0]) * num_levels,
-          mults[static_cast<size_t>(items[0])], nullptr, num_levels,
-          column.data());
-      for (size_t t = 1; t < kStepSeq; ++t) {
-        const size_t item = static_cast<size_t>(items[t]);
-        simd::QuantizedForwardStep(
-            column.data(), qrows.data() + item * num_levels, mults[item],
-            q_stay, q_up, /*allow_down=*/false, 0, num_levels, next.data());
-        column.swap(next);
-      }
-      benchmark::DoNotOptimize(
-          simd::QuantizedForwardLevel(column.data(), num_levels));
-    }
-  } else {
-    std::vector<double> column(num_levels);
-    std::vector<double> next(num_levels);
-    const auto row = [&](size_t t) {
-      return std::span<const double>(
-          rows.data() + static_cast<size_t>(items[t]) * num_levels,
-          num_levels);
-    };
-    for (auto _ : state) {
-      MonotoneForwardStart(row(0), {}, column);
-      for (size_t t = 1; t < kStepSeq; ++t) {
-        MonotoneForwardStep(column, row(t), log_stay, log_up,
-                            /*allow_down=*/false, 0.0, next);
-        column.swap(next);
-      }
-      benchmark::DoNotOptimize(MonotoneForwardLevel(column));
-    }
-  }
-  simd::ForceScalarForTest(false);
-  state.SetLabel(force_scalar ? "scalar" : simd::BackendName());
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kStepSeq));
-}
-
-// End-to-end single-session observe, double vs. quantized inference.
-void ServeQuantizedObserveBench(benchmark::State& state, bool quantized) {
-  Server server(BenchServingModel(), /*num_shards=*/64, quantized);
-  Rng rng(7);
-  const int num_items = BenchServingModel()->num_items();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(server.Observe(
-        "bench-user", static_cast<ItemId>(rng.NextInt(num_items)), 0,
-        false));
-  }
-  state.SetLabel(quantized ? "quantized" : "double");
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-
-void RegisterQuantizedBenches() {
-  struct StepVariant {
-    const char* name;
-    bool quantized;
-    bool force_scalar;
-  };
-  static const std::vector<StepVariant>* variants =
-      new std::vector<StepVariant>{
-          {"double_scalar", false, true},
-          {"double_vector", false, false},
-          {"quantized_scalar", true, true},
-          {"quantized_simd", true, false},
-      };
-  for (const int levels : {5, 32, 64}) {
-    for (const StepVariant& variant : *variants) {
-      benchmark::RegisterBenchmark(
-          ("BM_ServeQuantized/step/levels:" + std::to_string(levels) + "/" +
-           variant.name)
-              .c_str(),
-          [levels, &variant](benchmark::State& state) {
-            ServeQuantizedStepBench(state, levels, variant.quantized,
-                                    variant.force_scalar);
-          });
-    }
-  }
-  for (const bool quantized : {false, true}) {
-    benchmark::RegisterBenchmark(
-        (std::string("BM_ServeQuantized/observe/") +
-         (quantized ? "quantized" : "double"))
-            .c_str(),
-        [quantized](benchmark::State& state) {
-          ServeQuantizedObserveBench(state, quantized);
-        });
-  }
-}
-
 }  // namespace
 }  // namespace serve
 }  // namespace upskill
 
 int main(int argc, char** argv) {
-  upskill::serve::RegisterQuantizedBenches();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -110,7 +110,7 @@ const std::set<std::string> kValueFlags = {
     "admin-listen", "flight-recorder-size", "flight-recorder-sample",
 };
 const std::set<std::string> kSwitchFlags = {
-    "em", "verbose", "transitions", "detail", "quantized", "binary",
+    "em", "verbose", "transitions", "detail", "binary",
     "from-store", "online",
 };
 
@@ -186,9 +186,9 @@ int Usage() {
       "  dataset pack <data_dir> <out.store>\n"
       "  dataset inspect <file.store>\n"
       "  dataset compact <base.store> <log.ingest> <out.store>\n"
-      "  serve <snapshot.snap> [--threads N] [--shards N] [--quantized]\n"
+      "  serve <snapshot.snap> [--threads N] [--shards N]\n"
       "        [--backend serial|pool]   (backend for snapshot\n"
-      "        builds, requantization, and batch fan-out)\n"
+      "        builds and batch fan-out)\n"
       "        [--ingest-log log.ingest]   (tee observed actions into the\n"
       "        append-only store log for later compaction + refresh)\n"
       "        (newline-delimited protocol on stdin/stdout; see README)\n"
@@ -738,10 +738,9 @@ int CmdDataset(const Args& args) {
 int CmdServe(const Args& args) {
   if (args.positional.size() != 1) return Usage();
   const int shards = static_cast<int>(args.IntFlag("shards", 64));
-  const bool quantized = args.HasFlag("quantized");
   // One execution backend for the whole serving process: the initial
   // snapshot build here, plus (installed on the server below) every
-  // later swap/requantization and batch fan-out.
+  // later swap and batch fan-out.
   auto backend_result = BackendFromArgs(args);
   if (!backend_result.ok()) return Fail(backend_result.status());
   std::shared_ptr<exec::Backend> backend = std::move(backend_result).value();
@@ -749,13 +748,12 @@ int CmdServe(const Args& args) {
   const auto model =
       serve::ServingModel::FromSnapshotFile(args.positional[0], backend.get());
   if (!model.ok()) return Fail(model.status());
-  serve::Server server(model.value(), shards, quantized);
+  serve::Server server(model.value(), shards);
   server.SetBackend(backend);
   std::fprintf(stderr,
-               "serving %s: %d levels, %d items, %d shards, backend=%s%s\n",
+               "serving %s: %d levels, %d items, %d shards, backend=%s\n",
                args.positional[0].c_str(), model.value()->num_levels(),
-               model.value()->num_items(), shards, backend->name(),
-               quantized ? ", quantized int16 inference" : "");
+               model.value()->num_items(), shards, backend->name());
 
   // --ingest-log tees every accepted observe into the append-only store
   // log (crash-safe batched frames; recovery truncates a torn tail on

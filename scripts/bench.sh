@@ -8,10 +8,8 @@
 #   SUITE (or --suites, which accepts several) is one of:
 #     micro  bench_micro: training/eval kernels
 #     serve  bench_serve: snapshot IO, streaming observe, BM_ServeThroughput
-#     simd   the SIMD/quantized kernel slices of both binaries:
-#            BM_LogProbBatch + BM_ForwardStepStreaming from bench_micro and
-#            BM_ServeQuantized from bench_serve, merged into one JSON so the
-#            scalar-vs-vector-vs-quantized triples land in a single run.
+#     simd   the SIMD kernel slice of bench_micro: BM_LogProbBatch
+#            (scalar-vs-vector pairs) and BM_ForwardStepStreaming per S.
 #     net    bench_net: epoll TCP front end over real loopback sockets
 #            (binary/text protocol waves, req/s-per-core counters)
 #     store  bench_store: out-of-core store — pack throughput, verified
@@ -88,8 +86,7 @@ for SUITE in $SUITES; do
     serve) RUNS+=("bench_serve:"); BINARIES+=(bench_serve) ;;
     simd)
       RUNS+=("bench_micro:BM_LogProbBatch|BM_ForwardStepStreaming")
-      RUNS+=("bench_serve:BM_ServeQuantized")
-      BINARIES+=(bench_micro bench_serve) ;;
+      BINARIES+=(bench_micro) ;;
     net) RUNS+=("bench_net:"); BINARIES+=(bench_net) ;;
     store) RUNS+=("bench_store:"); BINARIES+=(bench_store) ;;
     exec) RUNS+=("bench_exec:"); BINARIES+=(bench_exec) ;;

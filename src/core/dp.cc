@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "simd/kernels.h"
 
 namespace upskill {
 
@@ -185,9 +184,9 @@ double BacktrackFused(const double* final_row, const uint8_t* from, size_t n,
 // SolveMonotonePathWithTransitions / WithForgetting, so values and
 // backpointers are bitwise identical to them.
 //
-// kWidth > 0 fixes S at compile time: the loops unroll and a caller's
-// local rows stay in registers. kWidth == 0 reads S from `levels`
-// and runs the interior through simd::DpRowInterior[WithDown]. kDown opens
+// kWidth > 0 fixes S at compile time: the loop unrolls and a caller's
+// local rows stay in registers. kWidth == 0 runs the same loop with S read
+// from `levels` at run time (correct for any S, not tuned). kDown opens
 // the forgetting down-edge for this transition; `from` receives the
 // backpointers when kTrack is set and is not touched otherwise.
 template <int kWidth, bool kDown, bool kTrack>
@@ -207,29 +206,21 @@ inline void RowUpdate(const double* prev, const double* row, size_t levels,
     curr[0] = incoming + row[0];
     if (kTrack) from[0] = step;
   }
-  if constexpr (kWidth > 0) {
 #pragma GCC unroll 8
-    for (size_t s = 1; s + 1 < width; ++s) {
-      const double stay = prev[s] + log_stay;
-      const double up = prev[s - 1] + log_up;
-      const bool up_wins = up > stay;
-      double incoming = up_wins ? up : stay;
-      uint8_t step = static_cast<uint8_t>(up_wins);
-      if (kDown) {
-        const double down = prev[s + 1] + log_down;
-        const bool down_wins = down > incoming;
-        incoming = down_wins ? down : incoming;
-        step = down_wins ? 2 : step;
-      }
-      curr[s] = incoming + row[s];
-      if (kTrack) from[s] = step;
+  for (size_t s = 1; s + 1 < width; ++s) {
+    const double stay = prev[s] + log_stay;
+    const double up = prev[s - 1] + log_up;
+    const bool up_wins = up > stay;
+    double incoming = up_wins ? up : stay;
+    uint8_t step = static_cast<uint8_t>(up_wins);
+    if (kDown) {
+      const double down = prev[s + 1] + log_down;
+      const bool down_wins = down > incoming;
+      incoming = down_wins ? down : incoming;
+      step = down_wins ? 2 : step;
     }
-  } else if (kDown) {
-    simd::DpRowInteriorWithDown(prev, row, width, log_stay, log_up, log_down,
-                                curr, kTrack ? from : nullptr);
-  } else {
-    simd::DpRowInterior(prev, row, width, log_stay, log_up, curr,
-                        kTrack ? from : nullptr);
+    curr[s] = incoming + row[s];
+    if (kTrack) from[s] = step;
   }
   if (width > 1) {
     const size_t s = width - 1;
@@ -289,8 +280,7 @@ double SolveItems(const double* item_log_probs,
 // Calls fn(std::integral_constant<int, S>{}) for a row width S in [1, 8],
 // which covers the paper's operating range (S = 5; Fig. 3 sweeps 2..8),
 // and fn(std::integral_constant<int, 0>{}) (the runtime-width body) for
-// wider rows, where the simd row kernels pay off (DESIGN.md, assignment
-// step).
+// wider rows (DESIGN.md §8, supported S range).
 template <typename Fn>
 decltype(auto) WithRowWidth(size_t levels, Fn&& fn) {
   switch (levels) {

@@ -336,8 +336,6 @@ void InstallAdminEndpoints(HttpAdminServer* http, serve::Server* server,
     body += StringPrintf(
         "backend: %s\n",
         server->backend() != nullptr ? server->backend()->name() : "none");
-    body += StringPrintf("quantized: %s\n",
-                         server->quantized() ? "true" : "false");
     body += StringPrintf("sessions: %zu\n", server->num_sessions());
     body += StringPrintf("requests: %llu\n",
                          static_cast<unsigned long long>(

@@ -61,9 +61,9 @@ struct NetServerConfig {
 /// straight into the connection's output buffer.
 class NetServer {
  public:
-  /// `server` must outlive this object. `swap_backend` runs snapshot
-  /// rebuild/requantization on binary `swap` requests (null: the
-  /// server's installed backend, exactly like the stdio front end).
+  /// `server` must outlive this object. `swap_backend` runs the snapshot
+  /// rebuild on binary `swap` requests (null: the server's installed
+  /// backend, exactly like the stdio front end).
   NetServer(serve::Server* server, exec::Backend* swap_backend,
             NetServerConfig config);
   ~NetServer();

@@ -11,16 +11,12 @@
 #include "obs/model_health.h"
 #include "obs/trace.h"
 #include "serve/snapshot.h"
-#include "simd/kernels.h"
 
 namespace upskill {
 namespace serve {
 
-Server::Server(std::shared_ptr<const ServingModel> model, int num_shards,
-               bool quantized)
-    : quantized_(quantized),
-      model_(std::move(model)),
-      qmodel_(quantized ? QuantizedModel::FromServingModel(*model_) : nullptr),
+Server::Server(std::shared_ptr<const ServingModel> model, int num_shards)
+    : model_(std::move(model)),
       sessions_(num_shards),
       snapshot_swaps_(obs::MetricsRegistry::Global().GetCounter(
           "upskill_serve_snapshot_swaps_total")) {
@@ -60,15 +56,10 @@ std::shared_ptr<const ServingModel> Server::model() const {
   return model_;
 }
 
-Server::ModelViews Server::Views() const {
-  std::lock_guard<std::mutex> lock(model_mutex_);
-  return ModelViews{model_, qmodel_};
-}
-
 Result<SessionLevel> Server::Observe(const std::string& user, ItemId item,
                                      int64_t time, bool has_time) {
-  const ModelViews views = Views();
-  const ServingModel& model = *views.model;
+  const std::shared_ptr<const ServingModel> view = this->model();
+  const ServingModel& model = *view;
   if (item < 0 || item >= model.num_items()) {
     return Status::OutOfRange(StringPrintf("item %d", item));
   }
@@ -82,7 +73,6 @@ Result<SessionLevel> Server::Observe(const std::string& user, ItemId item,
   const double log_up = transitions == nullptr ? 0.0 : transitions->log_up;
   const ForgettingConfig& forgetting = model.forgetting();
   const size_t levels = static_cast<size_t>(model.num_levels());
-  const QuantizedModel* qmodel = views.quantized.get();
 
   Status error = Status::OK();
   SessionLevel result;
@@ -90,9 +80,7 @@ Result<SessionLevel> Server::Observe(const std::string& user, ItemId item,
   sessions_.WithSession(user, [&](SessionState& session) {
     // A swap that changed S resets the store, but a racing observe can
     // still carry a stale-width column into this shard; restart it.
-    const size_t width =
-        qmodel != nullptr ? session.qcolumn.size() : session.column.size();
-    if (session.actions > 0 && width != levels) {
+    if (session.actions > 0 && session.column.size() != levels) {
       session = SessionState{};
     }
     const int64_t t = has_time ? time : session.last_time;
@@ -106,40 +94,17 @@ Result<SessionLevel> Server::Observe(const std::string& user, ItemId item,
     const bool allow_down =
         session.actions > 0 && forgetting.enabled &&
         (t - session.last_time) > forgetting.gap_threshold;
-    if (qmodel != nullptr) {
-      const std::span<const int16_t> qrow = qmodel->ItemRow(item);
-      const int16_t mult = qmodel->ItemMult(item);
-      if (session.actions == 0) {
-        session.qcolumn.resize(levels);
-        session.qnext_column.resize(levels);
-        const std::span<const int16_t> q_initial = qmodel->q_initial();
-        simd::QuantizedForwardInit(
-            qrow.data(), mult,
-            q_initial.empty() ? nullptr : q_initial.data(), levels,
-            session.qcolumn.data());
-      } else {
-        simd::QuantizedForwardStep(
-            session.qcolumn.data(), qrow.data(), mult, qmodel->q_stay(),
-            qmodel->q_up(), allow_down, qmodel->q_down(), levels,
-            session.qnext_column.data());
-        std::swap(session.qcolumn, session.qnext_column);
-      }
-      session.level =
-          simd::QuantizedForwardLevel(session.qcolumn.data(), levels);
+    if (session.actions == 0) {
+      session.column.resize(levels);
+      session.next_column.resize(levels);
+      MonotoneForwardStart(model.ItemRow(item), log_initial, session.column);
     } else {
-      if (session.actions == 0) {
-        session.column.resize(levels);
-        session.next_column.resize(levels);
-        MonotoneForwardStart(model.ItemRow(item), log_initial,
-                             session.column);
-      } else {
-        MonotoneForwardStep(session.column, model.ItemRow(item), log_stay,
-                            log_up, allow_down, model.log_down(),
-                            session.next_column);
-        std::swap(session.column, session.next_column);
-      }
-      session.level = MonotoneForwardLevel(session.column);
+      MonotoneForwardStep(session.column, model.ItemRow(item), log_stay,
+                          log_up, allow_down, model.log_down(),
+                          session.next_column);
+      std::swap(session.column, session.next_column);
     }
+    session.level = MonotoneForwardLevel(session.column);
     session.last_time = t;
     ++session.actions;
     result.level = session.level;
@@ -188,19 +153,12 @@ Result<double> Server::ItemDifficulty(ItemId item) const {
   return model->difficulty()[static_cast<size_t>(item)];
 }
 
-void Server::SwapSnapshot(std::shared_ptr<const ServingModel> next,
-                          exec::Backend* backend) {
-  backend = exec::ResolveBackend(backend, backend_.get());
-  // Requantize outside the lock (it is the expensive part of the swap);
-  // the two views are then published atomically together.
-  std::shared_ptr<const QuantizedModel> qnext =
-      quantized_ ? QuantizedModel::FromServingModel(*next, backend) : nullptr;
+void Server::SwapSnapshot(std::shared_ptr<const ServingModel> next) {
   bool reset = false;
   {
     std::lock_guard<std::mutex> lock(model_mutex_);
     reset = next->num_levels() != model_->num_levels();
     model_ = std::move(next);
-    qmodel_ = std::move(qnext);
   }
   if (reset) sessions_.Clear();
   snapshot_swaps_.Increment();
@@ -216,7 +174,7 @@ Status Server::SwapSnapshotFile(const std::string& path,
   Result<std::shared_ptr<const ServingModel>> next =
       ServingModel::FromSnapshotFile(path, backend);
   if (!next.ok()) return next.status();
-  SwapSnapshot(std::move(next).value(), backend);
+  SwapSnapshot(std::move(next).value());
   obs::ModelHealth::Global().NoteSnapshotPath(path);
   return Status::OK();
 }

@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
 #include "serve/protocol.h"
-#include "serve/quantized_model.h"
 #include "serve/serving_model.h"
 #include "serve/session_store.h"
 
@@ -36,20 +35,12 @@ struct SessionLevel {
 /// started with.
 class Server {
  public:
-  /// `quantized` switches session state to the int16 fixed-point forward
-  /// DP (serve/quantized_model.h): each observation touches S int16
-  /// lanes instead of S doubles, at the cost of bounded level-inference
-  /// error (tests hold it to ±1 level and ≥ 99.9% top-1 recommendation
-  /// agreement). Recommendation rankings and difficulties always come
-  /// from the double view — only level inference is quantized.
-  Server(std::shared_ptr<const ServingModel> model, int num_shards = 64,
-         bool quantized = false);
+  explicit Server(std::shared_ptr<const ServingModel> model,
+                  int num_shards = 64);
   ~Server();
 
   /// Current model view (atomically readable while swaps happen).
   std::shared_ptr<const ServingModel> model() const;
-
-  bool quantized() const { return quantized_; }
 
   /// Folds one observed action into `user`'s session: O(S) forward DP
   /// step, then reports the session's new level. Creates the session on
@@ -89,20 +80,15 @@ class Server {
   /// finish on it; new requests see `next`. Sessions carry their forward
   /// columns across the swap (levels stay monotone; the column simply
   /// continues under the new scores) unless the level count S changed, in
-  /// which case every session is reset. In quantized mode the new view is
-  /// requantized first (on `backend`; null: the installed backend) and
-  /// published together with the double view; session accumulator
-  /// columns carry over under the same rule, because accumulator units
-  /// are model-independent.
-  void SwapSnapshot(std::shared_ptr<const ServingModel> next,
-                    exec::Backend* backend = nullptr);
+  /// which case every session is reset.
+  void SwapSnapshot(std::shared_ptr<const ServingModel> next);
 
   /// LoadSnapshot + ServingModel::FromSnapshot + SwapSnapshot.
   Status SwapSnapshotFile(const std::string& path,
                           exec::Backend* backend = nullptr);
 
   /// Installs the execution backend for the server's parallel work
-  /// (requantization on swap, snapshot rebuilds, batch fan-out): calls
+  /// (snapshot rebuilds, batch fan-out): calls
   /// that pass a null Backend* dispatch through it. Null uninstalls
   /// (serial).
   void SetBackend(std::shared_ptr<exec::Backend> backend) {
@@ -186,20 +172,9 @@ class Server {
   /// Execute minus the telemetry wrapper (timing, per-kind counters).
   std::string ExecuteInternal(const ServeRequest& request);
 
-  /// Both views, read under one lock acquisition so a concurrent swap can
-  /// never hand out a double view paired with a stale quantized one.
-  /// `quantized` is null unless the server runs in quantized mode.
-  struct ModelViews {
-    std::shared_ptr<const ServingModel> model;
-    std::shared_ptr<const QuantizedModel> quantized;
-  };
-  ModelViews Views() const;
-
-  const bool quantized_;
   std::shared_ptr<exec::Backend> backend_;
   mutable std::mutex model_mutex_;
   std::shared_ptr<const ServingModel> model_;
-  std::shared_ptr<const QuantizedModel> qmodel_;
   SessionStore sessions_;
   ObserveHook observe_hook_;
   std::atomic<obs::FlightRecorder*> flight_recorder_{nullptr};

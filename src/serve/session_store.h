@@ -28,15 +28,6 @@ struct SessionState {
   std::vector<double> column;
   /// Scratch for the ping-pong step (avoids per-request allocation).
   std::vector<double> next_column;
-  /// Quantized twin of `column` in int16 accumulator units (see
-  /// serve/quantized_model.h); maintained instead of the double column
-  /// when the server runs in quantized mode, so each observation touches
-  /// S int16 lanes. Carried across snapshot swaps exactly like `column`
-  /// (the accumulator scale is model-independent); reset only when S
-  /// changes.
-  std::vector<int16_t> qcolumn;
-  /// Ping-pong scratch for the quantized step.
-  std::vector<int16_t> qnext_column;
   /// Timestamp of the most recent observation (drives forgetting gaps).
   int64_t last_time = 0;
   /// Observations folded into the column so far.

@@ -1,6 +1,5 @@
 #include "simd/kernels.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -9,25 +8,16 @@
 
 // Dispatchers + scalar reference bodies. Backend coverage:
 //
-//   kernel                  avx2  neon  (everything else: scalar)
-//   LookupLogProbBatch       x          (needs gather)
-//   GammaLogProbBatch        x     x
-//   LogNormalLogProbBatch    x     x
-//   DpRowInterior            x     x    (S >= 9 only; see below)
-//   DpRowInteriorWithDown    x     x    (S >= 9 only; see below)
-//   QuantizedForwardStep     x          (the per-action serve hot path)
-//   QuantizedForwardInit               (once per session — not hot)
-//   QuantizedForwardLevel              (S-element argmax — not hot)
+//   kernel                  avx2  (everything else: scalar)
+//   LookupLogProbBatch       x
+//   GammaLogProbBatch        x
+//   LogNormalLogProbBatch    x
 //
-// The dispatch check is one predictable branch per kernel call; every
-// call amortizes it over a whole batch / DP row.
-//
-// The DP row kernels serve only rows of S >= 9 levels: core/dp.cc runs
-// S <= 8 through an inline fixed-width body whose rows stay in
-// registers (7.3 ns per action at S = 5, 9.2 at S = 8). Above that, on a
-// 4-vCPU AVX2 host (bench_micro BM_AssignSkills, ns per action, avx2 /
-// forced scalar): S = 9 16.2 / 15.2, S = 12 17.7 / 18.3, S = 32
-// 24.2 / 35.1 — the vector body pays off only for wide rows.
+// Each kernel fills one (feature, level) cell of a fit's item cache, so
+// the one predictable dispatch branch per call is amortized over a whole
+// batch. The assignment DP has no vector kernel: core/dp.cc runs one
+// scalar row loop, at a compile-time width for S <= 8 (rows held in
+// registers) and at a run-time width above that (DESIGN.md §8).
 
 namespace upskill {
 namespace simd {
@@ -35,15 +25,6 @@ namespace simd {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-// The quantized bodies below are built from detail::RowAccUnit (the
-// rounded Q15 reconstruction, +2^14 before the arithmetic shift so the
-// per-add error is at most half a unit — flips at near-tied levels get
-// twice as rare for free), detail::AddSat16, and plain max — each the
-// scalar twin of exactly one AVX2 instruction.
-using detail::AddSat16;
-using detail::RowAccUnit;
-using detail::SaturateInt16;
 
 }  // namespace
 
@@ -97,112 +78,6 @@ void LogNormalLogProbBatch(std::span<const double> xs,
   }
 }
 
-void DpRowInterior(const double* prev, const double* row, size_t levels,
-                   double log_stay, double log_up, double* curr,
-                   uint8_t* from) {
-  for (size_t s = 1; s + 1 < levels; ++s) {
-    const double stay = prev[s] + log_stay;
-    const double up = prev[s - 1] + log_up;
-    const bool up_wins = up > stay;
-    curr[s] = (up_wins ? up : stay) + row[s];
-    if (from != nullptr) from[s] = static_cast<uint8_t>(up_wins);
-  }
-}
-
-void DpRowInteriorWithDown(const double* prev, const double* row,
-                           size_t levels, double log_stay, double log_up,
-                           double log_down, double* curr, uint8_t* from) {
-  for (size_t s = 1; s + 1 < levels; ++s) {
-    const double stay = prev[s] + log_stay;
-    const double up = prev[s - 1] + log_up;
-    const bool up_wins = up > stay;
-    double incoming = up_wins ? up : stay;
-    uint8_t step = static_cast<uint8_t>(up_wins);
-    const double down = prev[s + 1] + log_down;
-    const bool down_wins = down > incoming;
-    incoming = down_wins ? down : incoming;
-    step = down_wins ? 2 : step;
-    curr[s] = incoming + row[s];
-    if (from != nullptr) from[s] = step;
-  }
-}
-
-void QuantizedForwardInit(const int16_t* qrow, int16_t row_mult,
-                          const int16_t* q_initial, size_t levels,
-                          int16_t* column) {
-  int32_t max = std::numeric_limits<int32_t>::min();
-  for (size_t s = 0; s < levels; ++s) {
-    const int32_t v =
-        static_cast<int32_t>(RowAccUnit(qrow[s], row_mult)) +
-        (q_initial != nullptr ? static_cast<int32_t>(q_initial[s]) : 0);
-    max = std::max(max, v);
-  }
-  for (size_t s = 0; s < levels; ++s) {
-    const int32_t v =
-        static_cast<int32_t>(RowAccUnit(qrow[s], row_mult)) +
-        (q_initial != nullptr ? static_cast<int32_t>(q_initial[s]) : 0);
-    column[s] = SaturateInt16(v - max);
-  }
-}
-
-void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
-                          int16_t row_mult, int16_t q_stay, int16_t q_up,
-                          bool allow_down, int16_t q_down, size_t levels,
-                          int16_t* next_column) {
-  // Integer mirror of MonotoneForwardStep's peeled structure in pure
-  // saturating int16 (NNUE-style): max() is exact on ties (same value
-  // either way), so no strict-> bookkeeping is needed; the down-edge
-  // folds into the same max; staying at the top level is free. Every op
-  // here is the scalar twin of one AVX2 instruction (vpaddsw / vpmaxsw /
-  // vpmulhrsw / vpsubw), so the backends agree bit for bit. Saturation
-  // can only fire on lanes the renormalize already pinned to the -32768
-  // rail ("effectively impossible"); lanes near the maximum are exact.
-  {
-    int16_t incoming =
-        levels > 1 ? AddSat16(prev_column[0], q_stay) : prev_column[0];
-    if (levels > 1 && allow_down) {
-      incoming = std::max(incoming, AddSat16(prev_column[1], q_down));
-    }
-    next_column[0] = AddSat16(incoming, RowAccUnit(qrow[0], row_mult));
-  }
-  for (size_t s = 1; s + 1 < levels; ++s) {
-    const int16_t stay = AddSat16(prev_column[s], q_stay);
-    const int16_t up = AddSat16(prev_column[s - 1], q_up);
-    int16_t incoming = std::max(stay, up);
-    if (allow_down) {
-      incoming = std::max(incoming, AddSat16(prev_column[s + 1], q_down));
-    }
-    next_column[s] = AddSat16(incoming, RowAccUnit(qrow[s], row_mult));
-  }
-  if (levels > 1) {
-    const size_t s = levels - 1;
-    const int16_t stay = prev_column[s];
-    const int16_t up = AddSat16(prev_column[s - 1], q_up);
-    next_column[s] =
-        AddSat16(std::max(stay, up), RowAccUnit(qrow[s], row_mult));
-  }
-  // Renormalize by the row maximum: with the invariant max(prev) == 0 and
-  // all costs <= 0, every lane is in [-32768, 0], so the plain subtract
-  // (value - max >= value) cannot overflow.
-  int16_t max = next_column[0];
-  for (size_t s = 1; s < levels; ++s) max = std::max(max, next_column[s]);
-  for (size_t s = 0; s < levels; ++s) {
-    next_column[s] = static_cast<int16_t>(next_column[s] - max);
-  }
-}
-
-int QuantizedForwardLevel(const int16_t* column, size_t levels) {
-  size_t level = 0;
-  int16_t best = column[0];
-  for (size_t s = 1; s < levels; ++s) {
-    if (column[s] > best) {
-      best = column[s];
-      level = s;
-    }
-  }
-  return static_cast<int>(level) + 1;
-}
-
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -217,14 +92,6 @@ int QuantizedForwardLevel(const int16_t* column, size_t levels) {
       return;                                         \
     }                                                 \
   } while (0)
-#elif defined(__aarch64__)
-#define UPSKILL_DISPATCH_VECTOR(ns_fn, ...)           \
-  do {                                                \
-    if (ActiveBackend() == Backend::kNeon) {          \
-      neon::ns_fn(__VA_ARGS__);                       \
-      return;                                         \
-    }                                                 \
-  } while (0)
 #else
 #define UPSKILL_DISPATCH_VECTOR(ns_fn, ...) \
   do {                                      \
@@ -235,12 +102,8 @@ void LookupLogProbBatch(std::span<const double> xs,
                         std::span<const double> table, std::span<double> out,
                         bool* any_table_overflow) {
   UPSKILL_CHECK(xs.size() == out.size());
-#if defined(__x86_64__) || defined(_M_X64)
-  if (ActiveBackend() == Backend::kAvx2) {
-    avx2::LookupLogProbBatch(xs, table, out, any_table_overflow);
-    return;
-  }
-#endif
+  UPSKILL_DISPATCH_VECTOR(LookupLogProbBatch, xs, table, out,
+                          any_table_overflow);
   scalar::LookupLogProbBatch(xs, table, out, any_table_overflow);
 }
 
@@ -266,48 +129,6 @@ void LogNormalLogProbBatch(std::span<const double> xs,
                           log_sigma, half_log_two_pi, out);
   scalar::LogNormalLogProbBatch(xs, log_xs, mu, sigma, log_sigma,
                                 half_log_two_pi, out);
-}
-
-void DpRowInterior(const double* prev, const double* row, size_t levels,
-                   double log_stay, double log_up, double* curr,
-                   uint8_t* from) {
-  UPSKILL_DISPATCH_VECTOR(DpRowInterior, prev, row, levels, log_stay, log_up,
-                          curr, from);
-  scalar::DpRowInterior(prev, row, levels, log_stay, log_up, curr, from);
-}
-
-void DpRowInteriorWithDown(const double* prev, const double* row,
-                           size_t levels, double log_stay, double log_up,
-                           double log_down, double* curr, uint8_t* from) {
-  UPSKILL_DISPATCH_VECTOR(DpRowInteriorWithDown, prev, row, levels, log_stay,
-                          log_up, log_down, curr, from);
-  scalar::DpRowInteriorWithDown(prev, row, levels, log_stay, log_up, log_down,
-                                curr, from);
-}
-
-void QuantizedForwardInit(const int16_t* qrow, int16_t row_mult,
-                          const int16_t* q_initial, size_t levels,
-                          int16_t* column) {
-  scalar::QuantizedForwardInit(qrow, row_mult, q_initial, levels, column);
-}
-
-void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
-                          int16_t row_mult, int16_t q_stay, int16_t q_up,
-                          bool allow_down, int16_t q_down, size_t levels,
-                          int16_t* next_column) {
-#if defined(__x86_64__) || defined(_M_X64)
-  if (ActiveBackend() == Backend::kAvx2) {
-    avx2::QuantizedForwardStep(prev_column, qrow, row_mult, q_stay, q_up,
-                               allow_down, q_down, levels, next_column);
-    return;
-  }
-#endif
-  scalar::QuantizedForwardStep(prev_column, qrow, row_mult, q_stay, q_up,
-                               allow_down, q_down, levels, next_column);
-}
-
-int QuantizedForwardLevel(const int16_t* column, size_t levels) {
-  return scalar::QuantizedForwardLevel(column, levels);
 }
 
 #undef UPSKILL_DISPATCH_VECTOR

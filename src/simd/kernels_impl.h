@@ -1,47 +1,14 @@
 #ifndef UPSKILL_SIMD_KERNELS_IMPL_H_
 #define UPSKILL_SIMD_KERNELS_IMPL_H_
 
-// Internal: per-backend kernel bodies, shared between the dispatchers in
-// kernels.cc and the backend translation units (kernels_avx2.cc is built
-// with -mavx2; kernels_neon.cc only has bodies on aarch64). Not every
-// backend implements every kernel — the dispatcher falls back to the
-// scalar reference for the rest (see kernels.cc for the per-function
-// coverage table).
+// Internal: the AVX2 kernel bodies, shared between the dispatchers in
+// kernels.cc and kernels_avx2.cc (the one translation unit built with
+// -mavx2). On other architectures every kernel runs its scalar reference.
 
-#include <algorithm>
-#include <cstddef>
-#include <cstdint>
 #include <span>
 
 namespace upskill {
 namespace simd {
-
-// Scalar twins of the saturating-int16 instructions the quantized
-// kernels are built from, shared between the scalar reference bodies and
-// the peeled edge lanes inside the vector backends so every lane —
-// vectorized or peeled — runs the exact same arithmetic.
-namespace detail {
-
-inline int16_t SaturateInt16(int32_t v) {
-  return static_cast<int16_t>(std::clamp(v, -32768, 32767));
-}
-
-// vpaddsw.
-inline int16_t AddSat16(int16_t a, int16_t b) {
-  return SaturateInt16(static_cast<int32_t>(a) + static_cast<int32_t>(b));
-}
-
-// vpmulhrsw: (a * b + 2^14) >> 15, round to nearest. With the Q15 row
-// multiplier in [0, 32767] the result is in [-32767, 0] and the
-// instruction's lone saturation corner (-32768 * -32768) is unreachable,
-// so the plain cast matches it bit for bit. C++20 defines >> on
-// negatives as arithmetic shift.
-inline int16_t RowAccUnit(int16_t qlane, int16_t mult) {
-  return static_cast<int16_t>(
-      (static_cast<int32_t>(qlane) * mult + (1 << 14)) >> 15);
-}
-
-}  // namespace detail
 
 #if defined(__x86_64__) || defined(_M_X64)
 namespace avx2 {
@@ -57,40 +24,9 @@ void LogNormalLogProbBatch(std::span<const double> xs,
                            std::span<const double> log_xs, double mu,
                            double sigma, double log_sigma,
                            double half_log_two_pi, std::span<double> out);
-void DpRowInterior(const double* prev, const double* row, size_t levels,
-                   double log_stay, double log_up, double* curr,
-                   uint8_t* from);
-void DpRowInteriorWithDown(const double* prev, const double* row,
-                           size_t levels, double log_stay, double log_up,
-                           double log_down, double* curr, uint8_t* from);
-void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
-                          int16_t row_mult, int16_t q_stay, int16_t q_up,
-                          bool allow_down, int16_t q_down, size_t levels,
-                          int16_t* next_column);
 
 }  // namespace avx2
 #endif  // x86-64
-
-#if defined(__aarch64__)
-namespace neon {
-
-void GammaLogProbBatch(std::span<const double> xs,
-                       std::span<const double> log_xs, double shape_minus_one,
-                       double scale, double log_gamma_shape,
-                       double shape_log_scale, std::span<double> out);
-void LogNormalLogProbBatch(std::span<const double> xs,
-                           std::span<const double> log_xs, double mu,
-                           double sigma, double log_sigma,
-                           double half_log_two_pi, std::span<double> out);
-void DpRowInterior(const double* prev, const double* row, size_t levels,
-                   double log_stay, double log_up, double* curr,
-                   uint8_t* from);
-void DpRowInteriorWithDown(const double* prev, const double* row,
-                           size_t levels, double log_stay, double log_up,
-                           double log_down, double* curr, uint8_t* from);
-
-}  // namespace neon
-#endif  // aarch64
 
 }  // namespace simd
 }  // namespace upskill

@@ -4,37 +4,31 @@
 namespace upskill {
 namespace simd {
 
-/// Vector backend driving the hot kernels (batched log-probs, the
-/// assignment DP's row interior for S >= 9, the quantized serving step).
-/// Rows of S <= 8 levels never reach a simd kernel: core/dp.cc runs them
-/// through a fixed-width, fully unrolled body that keeps both rows in
-/// registers. The row kernels tie or lose to the scalar ones up to
-/// S = 12 and win at S = 32 on a 4-vCPU AVX2 host (crossover numbers in
-/// kernels.cc). The backend is picked once per process:
+/// Vector backend driving the batched log-prob kernels that fill a fit's
+/// item cache (simd/kernels.h). The assignment DP has no vector kernel:
+/// core/dp.cc runs one scalar row loop for every S. The backend is picked
+/// once per process:
 ///
 ///   compile time  — kAvx2 on x86-64 (the AVX2 bodies live in a dedicated
-///                   translation unit built with -mavx2), kNeon on
-///                   aarch64, kScalar everywhere else;
-///   run time      — demoted to kScalar when the CPU lacks the compiled
-///                   instruction set (cpuid / baseline check) or when the
-///                   UPSKILL_FORCE_SCALAR environment variable is set to
-///                   anything but "" or "0" (the kill switch CI uses to
-///                   keep the fallback path green).
+///                   translation unit built with -mavx2), kScalar
+///                   everywhere else;
+///   run time      — demoted to kScalar when the CPU lacks AVX2 (cpuid) or
+///                   when the UPSKILL_FORCE_SCALAR environment variable is
+///                   set to anything but "" or "0" (the kill switch CI uses
+///                   to keep the fallback path green).
 ///
-/// Every dispatched kernel is bitwise identical across backends for the
-/// double kernels and bit-exact (integer arithmetic) for the quantized
-/// ones, so the choice can never change results — only speed. That is
-/// what lets tests sweep backends and compare with operator==.
+/// Every dispatched kernel is bitwise identical across backends, so the
+/// choice can never change results — only speed. That is what lets tests
+/// sweep backends and compare with operator==.
 enum class Backend {
   kScalar,
   kAvx2,
-  kNeon,
 };
 
 /// The backend every dispatched kernel uses right now.
 Backend ActiveBackend();
 
-/// Stable lowercase name of ActiveBackend(): "scalar", "avx2", "neon".
+/// Stable lowercase name of ActiveBackend(): "scalar", "avx2".
 const char* BackendName();
 
 /// True when ActiveBackend() != kScalar.

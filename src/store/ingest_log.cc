@@ -23,6 +23,9 @@ constexpr size_t kFrameHeaderBytes = 16;
 // name-length field means we are reading garbage, not a record.
 constexpr uint32_t kMaxUserNameBytes = 4096;
 constexpr uint32_t kMaxFramePayloadBytes = 64u << 20;
+// Smallest encoded record: 4-byte name length, a name of at least one
+// byte, then time (8), item (4) and rating (8).
+constexpr uint32_t kMinRecordBytes = 4 + 1 + 8 + 4 + 8;
 
 obs::Counter& AppendCounter() {
   static obs::Counter& counter =
@@ -197,6 +200,10 @@ Result<IngestScan> ReplayIngestLog(
       break;
     }
     if (Crc32(payload.data(), payload.size()) != crc) break;
+    // The CRC covers the payload only, so the header's record count is
+    // unchecked until here; a count the payload cannot hold is corruption
+    // (and would size the reservation below by a flipped bit).
+    if (record_count > payload_bytes / kMinRecordBytes) break;
     // The frame is intact; decode its records. A decode failure here
     // means a corrupt-but-CRC-valid frame — that is real corruption, not
     // a torn tail, but the recovery contract is the same: the log is the

@@ -135,26 +135,48 @@ Result<StoreReader> StoreReader::Open(const std::string& path,
     }
   }
 
-  // Shape: segment byte sizes must agree with the header's counts.
-  const auto expect_length = [&](SegmentKind kind,
-                                 uint64_t expected) -> Status {
+  // Shape: segment byte sizes must agree with the header's counts. Each
+  // segment holds `count` header entries plus `extra` the format adds, of
+  // `entry_bytes` each. The count is bounded by the file size before it
+  // is added to or multiplied, so a corrupt count cannot wrap the product
+  // into a match.
+  const auto expect_length = [&](SegmentKind kind, uint64_t count,
+                                 uint64_t extra,
+                                 uint64_t entry_bytes) -> Status {
     const std::span<const uint8_t> payload = reader.segment(kind);
-    if (payload.size() != expected) {
+    if (count > bytes.size() ||
+        (count + extra) * entry_bytes != payload.size()) {
       return StoreCorruption(
           StoreError::kBadShape,
-          StringPrintf("%s segment is %zu bytes, header implies %llu",
+          StringPrintf("%s segment is %zu bytes, header count %llu does not "
+                       "match",
                        SegmentKindName(kind), payload.size(),
-                       static_cast<unsigned long long>(expected)));
+                       static_cast<unsigned long long>(count)));
     }
     return Status::OK();
   };
+  UPSKILL_RETURN_IF_ERROR(expect_length(SegmentKind::kUserOffsets,
+                                        header.num_users, 1,
+                                        sizeof(uint64_t)));
+  UPSKILL_RETURN_IF_ERROR(expect_length(SegmentKind::kActions,
+                                        header.num_actions, 0,
+                                        sizeof(Action)));
   UPSKILL_RETURN_IF_ERROR(expect_length(
-      SegmentKind::kUserOffsets, (header.num_users + 1) * sizeof(uint64_t)));
-  UPSKILL_RETURN_IF_ERROR(
-      expect_length(SegmentKind::kActions, header.num_actions * sizeof(Action)));
-  UPSKILL_RETURN_IF_ERROR(expect_length(
-      SegmentKind::kItemColumns, static_cast<uint64_t>(header.num_features) *
-                                     header.num_items * sizeof(double)));
+      SegmentKind::kItemColumns,
+      static_cast<uint64_t>(header.num_features) * header.num_items, 0,
+      sizeof(double)));
+  // Each item has a name entry of at least its 4-byte length. With no item
+  // features the columns segment pins nothing, so the item count is also
+  // bounded by the names segment before MapDataset sizes tables by it.
+  const size_t item_name_bytes =
+      reader.segment(SegmentKind::kItemNames).size();
+  if (header.num_items > item_name_bytes / sizeof(uint32_t)) {
+    return StoreCorruption(
+        StoreError::kBadShape,
+        StringPrintf("%s segment is %zu bytes, header count %u does not fit",
+                     SegmentKindName(SegmentKind::kItemNames),
+                     item_name_bytes, header.num_items));
+  }
 
   // User offsets must be a monotone prefix-sum ending at num_actions;
   // O(users) and cheap, so always checked — a bad offset would otherwise

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "simd/simd.h"
 
 namespace upskill {
 namespace {
@@ -46,7 +45,8 @@ struct RandomConfig {
 
 RandomConfig MakeRandomConfig(Rng& rng) {
   RandomConfig config;
-  // Both sides of the fixed-width (S <= 8) / simd-row (S >= 9) boundary.
+  // Both sides of the fixed-width (S <= 8) / run-time-width (S >= 9)
+  // boundary.
   config.levels = static_cast<int>(rng.NextIntInRange(1, 12));
   const int num_items = static_cast<int>(rng.NextIntInRange(1, 50));
   config.item_log_probs.resize(static_cast<size_t>(num_items) *
@@ -215,116 +215,112 @@ double Draw(Family family, Rng& rng) {
   return 0.0;
 }
 
-// Every width S = 1..12 on both sides of the fixed-width / simd-row
+// Every width S = 1..12 on both sides of the fixed-width / run-time-width
 // boundary, every value family, plain / transition-weighted / forgetting
-// with mixed down-edges, on both simd backends. On every prefix:
+// with mixed down-edges. On every prefix:
 //   - the streaming column equals the materialized best row bitwise;
 //   - the item-indexed batch kernel's levels and log-likelihood equal the
 //     materialized solver's;
 //   - the batch log-likelihood is the streamed column's maximum and the
 //     batch tail level is MonotoneForwardLevel of the column.
 TEST(DpFusedTest, WidthSweepStreamingColumnEqualsBatchBestRowBitwise) {
-  for (const bool force_scalar : {false, true}) {
-    simd::ForceScalarForTest(force_scalar);
-    Rng rng(4242);
-    DpScratch scratch;
-    for (int levels = 1; levels <= 12; ++levels) {
-      const size_t width = static_cast<size_t>(levels);
-      for (const Family family : {Family::kFinite, Family::kNegInfRows,
-                                  Family::kExactTies, Family::kSignedZeros}) {
-        for (const int mode : {0, 1, 2}) {  // plain, weighted, forgetting
-          const std::string where =
-              "S=" + std::to_string(levels) + " family=" +
-              std::to_string(static_cast<int>(family)) + " mode=" +
-              std::to_string(mode) + (force_scalar ? " scalar" : " vector");
-          const int num_items = 6;
-          std::vector<double> cache(static_cast<size_t>(num_items) * width);
-          for (double& v : cache) v = Draw(family, rng);
-          if (family == Family::kNegInfRows) {
-            // One item impossible at every level.
-            for (size_t s = 0; s < width; ++s) cache[s] = kNegInf;
+  Rng rng(4242);
+  DpScratch scratch;
+  for (int levels = 1; levels <= 12; ++levels) {
+    const size_t width = static_cast<size_t>(levels);
+    for (const Family family : {Family::kFinite, Family::kNegInfRows,
+                                Family::kExactTies, Family::kSignedZeros}) {
+      for (const int mode : {0, 1, 2}) {  // plain, weighted, forgetting
+        const std::string where =
+            "S=" + std::to_string(levels) + " family=" +
+            std::to_string(static_cast<int>(family)) + " mode=" +
+            std::to_string(mode);
+        const int num_items = 6;
+        std::vector<double> cache(static_cast<size_t>(num_items) * width);
+        for (double& v : cache) v = Draw(family, rng);
+        if (family == Family::kNegInfRows) {
+          // One item impossible at every level.
+          for (size_t s = 0; s < width; ++s) cache[s] = kNegInf;
+        }
+        std::vector<double> log_initial;
+        double log_stay = 0.0;
+        double log_up = 0.0;
+        if (mode > 0) {
+          log_initial.resize(width);
+          for (double& v : log_initial) v = Draw(family, rng);
+          if (family == Family::kFinite) {
+            log_stay = -0.25 - rng.NextDouble();
+            log_up = -0.25 - 2.0 * rng.NextDouble();
+          } else if (family == Family::kSignedZeros) {
+            log_stay = -0.0;
+            log_up = -0.0;
+          } else {
+            log_stay = -1.0;
+            log_up = -2.0;
           }
-          std::vector<double> log_initial;
-          double log_stay = 0.0;
-          double log_up = 0.0;
-          if (mode > 0) {
-            log_initial.resize(width);
-            for (double& v : log_initial) v = Draw(family, rng);
-            if (family == Family::kFinite) {
-              log_stay = -0.25 - rng.NextDouble();
-              log_up = -0.25 - 2.0 * rng.NextDouble();
-            } else if (family == Family::kSignedZeros) {
-              log_stay = -0.0;
-              log_up = -0.0;
-            } else {
-              log_stay = -1.0;
-              log_up = -2.0;
-            }
+        }
+        // Down ties up on the integer families, so the order in which
+        // the two edges are checked decides the backpointer.
+        const double log_down = family == Family::kFinite ? -1.5 : log_up;
+        const bool forgetting = mode == 2;
+
+        std::vector<int32_t> items;
+        std::vector<uint8_t> allow_down;
+        std::vector<double> column(width);
+        std::vector<double> next(width);
+        for (int t = 0; t < 30; ++t) {
+          const int32_t item = static_cast<int32_t>(rng.NextInt(num_items));
+          const std::span<const double> row(
+              cache.data() + static_cast<size_t>(item) * width, width);
+          if (t == 0) {
+            MonotoneForwardStart(row, log_initial, column);
+          } else {
+            const bool down = forgetting && rng.NextBernoulli(0.5);
+            allow_down.push_back(down ? 1 : 0);
+            MonotoneForwardStep(column, row, log_stay, log_up, down,
+                                log_down, next);
+            column.swap(next);
           }
-          // Down ties up on the integer families, so the order in which
-          // the two edges are checked decides the backpointer.
-          const double log_down = family == Family::kFinite ? -1.5 : log_up;
-          const bool forgetting = mode == 2;
+          items.push_back(item);
 
-          std::vector<int32_t> items;
-          std::vector<uint8_t> allow_down;
-          std::vector<double> column(width);
-          std::vector<double> next(width);
-          for (int t = 0; t < 30; ++t) {
-            const int32_t item = static_cast<int32_t>(rng.NextInt(num_items));
-            const std::span<const double> row(
-                cache.data() + static_cast<size_t>(item) * width, width);
-            if (t == 0) {
-              MonotoneForwardStart(row, log_initial, column);
-            } else {
-              const bool down = forgetting && rng.NextBernoulli(0.5);
-              allow_down.push_back(down ? 1 : 0);
-              MonotoneForwardStep(column, row, log_stay, log_up, down,
-                                  log_down, next);
-              column.swap(next);
-            }
-            items.push_back(item);
+          const std::vector<double> lattice =
+              Materialize(cache, items, levels);
+          const std::vector<uint8_t> no_down;
+          ASSERT_EQ(Bits(ReferenceFinalRow(
+                        lattice, levels, log_initial, log_stay, log_up,
+                        forgetting ? allow_down : no_down, log_down)),
+                    Bits(column))
+              << where << " t=" << t;
 
-            const std::vector<double> lattice =
-                Materialize(cache, items, levels);
-            const std::vector<uint8_t> no_down;
-            ASSERT_EQ(Bits(ReferenceFinalRow(
-                          lattice, levels, log_initial, log_stay, log_up,
-                          forgetting ? allow_down : no_down, log_down)),
-                      Bits(column))
-                << where << " t=" << t;
-
-            const MonotonePath expected =
-                forgetting
-                    ? SolveMonotonePathWithForgetting(lattice, levels,
-                                                      log_initial, log_stay,
-                                                      log_up, allow_down,
-                                                      log_down)
-                    : SolveMonotonePathWithTransitions(
-                          lattice, levels, log_initial, log_stay, log_up);
-            const double ll =
-                forgetting
-                    ? SolveMonotonePathItemsWithForgetting(
-                          cache, items, levels, log_initial, log_stay, log_up,
-                          allow_down, log_down, scratch)
-                    : SolveMonotonePathItems(cache, items, levels,
-                                             log_initial, log_stay, log_up,
-                                             scratch);
-            ASSERT_EQ(expected.levels, scratch.levels) << where << " t=" << t;
-            ASSERT_EQ(std::bit_cast<uint64_t>(expected.log_likelihood),
-                      std::bit_cast<uint64_t>(ll))
-                << where << " t=" << t;
-            const int tail = MonotoneForwardLevel(column);
-            ASSERT_EQ(tail, scratch.levels.back()) << where << " t=" << t;
-            ASSERT_EQ(std::bit_cast<uint64_t>(column[tail - 1]),
-                      std::bit_cast<uint64_t>(ll))
-                << where << " t=" << t;
-          }
+          const MonotonePath expected =
+              forgetting
+                  ? SolveMonotonePathWithForgetting(lattice, levels,
+                                                    log_initial, log_stay,
+                                                    log_up, allow_down,
+                                                    log_down)
+                  : SolveMonotonePathWithTransitions(
+                        lattice, levels, log_initial, log_stay, log_up);
+          const double ll =
+              forgetting
+                  ? SolveMonotonePathItemsWithForgetting(
+                        cache, items, levels, log_initial, log_stay, log_up,
+                        allow_down, log_down, scratch)
+                  : SolveMonotonePathItems(cache, items, levels,
+                                           log_initial, log_stay, log_up,
+                                           scratch);
+          ASSERT_EQ(expected.levels, scratch.levels) << where << " t=" << t;
+          ASSERT_EQ(std::bit_cast<uint64_t>(expected.log_likelihood),
+                    std::bit_cast<uint64_t>(ll))
+              << where << " t=" << t;
+          const int tail = MonotoneForwardLevel(column);
+          ASSERT_EQ(tail, scratch.levels.back()) << where << " t=" << t;
+          ASSERT_EQ(std::bit_cast<uint64_t>(column[tail - 1]),
+                    std::bit_cast<uint64_t>(ll))
+              << where << " t=" << t;
         }
       }
     }
   }
-  simd::ForceScalarForTest(false);
 }
 
 }  // namespace

@@ -212,9 +212,9 @@ TEST(ShardDeterminismTest, TrainerBitwiseInvariantAcrossSimdBackends) {
   // fallback — what UPSKILL_FORCE_SCALAR=1 does at process start — must
   // leave every training output bitwise unchanged, on every thread/shard
   // combination, for the plain trainer and for the transitions+forgetting
-  // configuration that exercises the down-edge DP kernel. On scalar-only
+  // configuration that exercises the down-edge DP. On scalar-only
   // hardware both sweeps run the fallback and the test is vacuously
-  // green; on AVX2/NEON hosts it pins the vector kernels to the scalar
+  // green; on AVX2 hosts it pins the vector kernels to the scalar
   // reference through the full training stack.
   const datagen::GeneratedData data = MakeData();
   const std::string path = testing::TempDir() + "/det_simd.snap";

@@ -159,26 +159,5 @@ TEST_F(NetCliTest, TcpRoundTripBothProtocolsWithMidSessionSwap) {
   EXPECT_EQ(status, 0);
 }
 
-TEST_F(NetCliTest, QuantizedListenServesAndSwaps) {
-  Run("generate synthetic " + dir_ + "/data --users 25 --seed 6");
-  Run("train " + dir_ + "/data " + dir_ + "/model.csv --levels 3");
-  Run("snapshot " + dir_ + "/data " + dir_ + "/model.csv " + dir_ +
-      "/model.snap --levels 3");
-
-  const int port = StartServer("--quantized");
-  ASSERT_GT(port, 0) << Slurp(dir_ + "/serve.log");
-
-  const std::vector<std::string> lines = RunClient(
-      port, "--binary",
-      "observe q_user 2 10\n"
-      "swap " + dir_ + "/model.snap\n"
-      "observe q_user 2 20\n");
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0].rfind("ok level=", 0), 0u) << lines[0];
-  EXPECT_EQ(lines[1].rfind("ok swapped ", 0), 0u) << lines[1];
-  // Same-S swap keeps the session: second observe is action 2.
-  EXPECT_NE(lines[2].find("actions=2"), std::string::npos) << lines[2];
-}
-
 }  // namespace
 }  // namespace upskill

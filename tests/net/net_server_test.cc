@@ -1,6 +1,6 @@
 // The epoll TCP front end: text-over-TCP responses byte-identical to
 // Server::Execute, binary round trips for every opcode, snapshot hot-swap
-// (plain and quantized) under live connections, deadline load shedding,
+// under live connections, deadline load shedding,
 // connection limits, and concurrent mixed-protocol clients (the TSan
 // target for the net subsystem).
 
@@ -394,38 +394,6 @@ TEST_F(NetServerTest, SnapshotSwapUnderLiveConnections) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().status_code, StatusCode::kOk);
   EXPECT_EQ(after.value().actions, 1u);  // fresh session post-reset
-  net.Stop();
-}
-
-TEST_F(NetServerTest, QuantizedServerSwapsOverTcp) {
-  serve::Server server(serving_, 64, /*quantized=*/true);
-  NetServerConfig config;
-  NetServer net(&server, nullptr, config);
-  ASSERT_TRUE(net.Start().ok());
-
-  NetClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", net.port()).ok());
-  serve::ServeRequest observe;
-  observe.kind = Kind::kObserve;
-  observe.user = "q_user";
-  observe.item = 2;
-  observe.has_time = true;
-  observe.time = 1;
-  ASSERT_TRUE(client.Call(observe).ok());
-
-  serve::ServeRequest swap;
-  swap.kind = Kind::kSwap;
-  swap.path = path_other_s_;
-  const auto swapped = client.Call(swap);
-  ASSERT_TRUE(swapped.ok());
-  ASSERT_EQ(swapped.value().status_code, StatusCode::kOk)
-      << swapped.value().message;
-  EXPECT_TRUE(server.quantized());
-
-  observe.time = 2;
-  const auto after = client.Call(observe);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value().status_code, StatusCode::kOk);
   net.Stop();
 }
 

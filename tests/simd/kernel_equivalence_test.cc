@@ -1,11 +1,9 @@
 // Backend equivalence for the SIMD kernel layer: every dispatched kernel
-// must match the scalar reference bitwise (double kernels) / bit-exactly
-// (integer quantized kernels) on adversarial inputs — non-integral and
-// out-of-range lookup keys, NaN/inf lanes, -inf log-probs, tie-heavy DP
-// rows, saturating quantized columns — across every batch size that
-// exercises full vector blocks, tails, and the empty span. The same
-// guarantee is then checked one layer up: the four Distribution kinds and
-// both item-indexed DP solvers are swept under ForceScalarForTest(on/off)
+// must match the scalar reference bitwise on adversarial inputs —
+// non-integral and out-of-range lookup keys, NaN/inf lanes, -inf table
+// entries — across every batch size that exercises full vector blocks,
+// tails, and the empty span. The same guarantee is then checked one layer
+// up: the four Distribution kinds are swept under ForceScalarForTest(on/off)
 // and compared bitwise.
 
 #include <gtest/gtest.h>
@@ -17,12 +15,10 @@
 #include <random>
 #include <vector>
 
-#include "core/dp.h"
 #include "dist/categorical.h"
 #include "dist/gamma.h"
 #include "dist/lognormal.h"
 #include "dist/poisson.h"
-#include "serve/quantized_model.h"
 #include "simd/kernels.h"
 #include "simd/simd.h"
 
@@ -120,23 +116,6 @@ class KernelEquivalenceTest : public ::testing::Test {
     }
     return logs;
   }
-
-  // DP inputs: scores around zero with occasional -inf lanes and exact
-  // duplicates (ties must break identically).
-  std::vector<double> MakeScores(size_t n) {
-    std::vector<double> xs(n);
-    std::uniform_real_distribution<double> score(-20.0, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      if (i % 11 == 10) {
-        xs[i] = kNegInf;
-      } else if (i % 7 == 6 && i > 0) {
-        xs[i] = xs[i - 1];  // exact tie with the neighbor
-      } else {
-        xs[i] = score(rng_);
-      }
-    }
-    return xs;
-  }
 };
 
 TEST_F(KernelEquivalenceTest, LookupMatchesScalarBitwise) {
@@ -203,114 +182,8 @@ TEST_F(KernelEquivalenceTest, LogNormalKernelMatchesScalarBitwise) {
   }
 }
 
-TEST_F(KernelEquivalenceTest, DpRowInteriorMatchesScalarBitwise) {
-  for (size_t levels : {size_t{2}, size_t{3}, size_t{5}, size_t{8}, size_t{9},
-                        size_t{17}, size_t{64}}) {
-    for (int trial = 0; trial < 8; ++trial) {
-      const std::vector<double> prev = MakeScores(levels);
-      const std::vector<double> row = MakeScores(levels);
-      std::vector<double> got(levels, 0.0), want(levels, 0.0);
-      std::vector<uint8_t> got_from(levels, 9), want_from(levels, 9);
-      simd::DpRowInterior(prev.data(), row.data(), levels, -0.105, -2.302,
-                          got.data(), got_from.data());
-      simd::scalar::DpRowInterior(prev.data(), row.data(), levels, -0.105,
-                                  -2.302, want.data(), want_from.data());
-      // The kernel only owns s in [1, levels - 1); the peeled edges must
-      // be untouched by both.
-      ExpectBitEqual(got, want);
-      EXPECT_EQ(got_from, want_from) << "levels=" << levels;
-      EXPECT_TRUE(BitEq(got[0], 0.0));
-      EXPECT_EQ(got_from[0], 9);
-
-      // Null `from` (streaming) path.
-      std::vector<double> got_nf(levels, 0.0);
-      simd::DpRowInterior(prev.data(), row.data(), levels, -0.105, -2.302,
-                          got_nf.data(), nullptr);
-      ExpectBitEqual(got_nf, want);
-    }
-  }
-}
-
-TEST_F(KernelEquivalenceTest, DpRowInteriorWithDownMatchesScalarBitwise) {
-  for (size_t levels : {size_t{2}, size_t{3}, size_t{5}, size_t{8}, size_t{9},
-                        size_t{17}, size_t{64}}) {
-    for (int trial = 0; trial < 8; ++trial) {
-      const std::vector<double> prev = MakeScores(levels);
-      const std::vector<double> row = MakeScores(levels);
-      std::vector<double> got(levels, 0.0), want(levels, 0.0);
-      std::vector<uint8_t> got_from(levels, 9), want_from(levels, 9);
-      simd::DpRowInteriorWithDown(prev.data(), row.data(), levels, -0.105,
-                                  -2.302, -3.0, got.data(), got_from.data());
-      simd::scalar::DpRowInteriorWithDown(prev.data(), row.data(), levels,
-                                          -0.105, -2.302, -3.0, want.data(),
-                                          want_from.data());
-      ExpectBitEqual(got, want);
-      EXPECT_EQ(got_from, want_from) << "levels=" << levels;
-    }
-  }
-}
-
-TEST_F(KernelEquivalenceTest, QuantizedKernelsMatchScalarBitExactly) {
-  std::uniform_int_distribution<int> lane(-32767, 0);
-  std::uniform_int_distribution<int> cost(-3000, 0);
-  // Production multipliers top out at lround(kQuantAccScale *
-  // kQuantResidualRange / 32767.0 * 32768.0) = 32513; sweep the whole
-  // non-negative int16 range to cover the mulhrs rounding edge cases.
-  std::uniform_int_distribution<int> mult(0, 32767);
-  // 17/18 and 128/129 straddle the AVX2 register-resident fast path's
-  // bounds (it takes columns with 18..128 levels).
-  for (size_t levels :
-       {size_t{1}, size_t{2}, size_t{5}, size_t{8}, size_t{9}, size_t{17},
-        size_t{18}, size_t{32}, size_t{100}, size_t{128}, size_t{129}}) {
-    std::vector<int16_t> qrow(levels);
-    std::vector<int16_t> q_initial(levels);
-    for (size_t s = 0; s < levels; ++s) {
-      qrow[s] = static_cast<int16_t>(lane(rng_));
-      q_initial[s] = (s % 5 == 4) ? serve::kQuantCostFloor
-                                  : static_cast<int16_t>(cost(rng_));
-    }
-    const int16_t row_mult = static_cast<int16_t>(mult(rng_));
-
-    std::vector<int16_t> got_col(levels), want_col(levels);
-    simd::QuantizedForwardInit(qrow.data(), row_mult, q_initial.data(),
-                               levels, got_col.data());
-    simd::scalar::QuantizedForwardInit(qrow.data(), row_mult,
-                                       q_initial.data(), levels,
-                                       want_col.data());
-    EXPECT_EQ(got_col, want_col) << "levels=" << levels;
-
-    // Drive both columns through many steps, alternating the down-edge,
-    // asserting lockstep bit-exactness (renormalization + saturation
-    // included: the floored q_initial lanes start deeply negative).
-    std::vector<int16_t> got_next(levels), want_next(levels);
-    for (int step = 0; step < 32; ++step) {
-      for (size_t s = 0; s < levels; ++s) {
-        qrow[s] = static_cast<int16_t>(lane(rng_));
-      }
-      const int16_t q_stay = static_cast<int16_t>(cost(rng_));
-      const int16_t q_up = static_cast<int16_t>(cost(rng_));
-      const int16_t q_down = static_cast<int16_t>(cost(rng_));
-      const bool allow_down = (step % 3) == 1;
-      simd::QuantizedForwardStep(got_col.data(), qrow.data(), row_mult,
-                                 q_stay, q_up, allow_down, q_down, levels,
-                                 got_next.data());
-      simd::scalar::QuantizedForwardStep(want_col.data(), qrow.data(),
-                                         row_mult, q_stay, q_up, allow_down,
-                                         q_down, levels, want_next.data());
-      EXPECT_EQ(got_next, want_next) << "levels=" << levels << " step="
-                                     << step;
-      EXPECT_EQ(simd::QuantizedForwardLevel(got_next.data(), levels),
-                simd::scalar::QuantizedForwardLevel(want_next.data(), levels));
-      got_col.swap(got_next);
-      want_col.swap(want_next);
-    }
-    // Renormalization keeps the column's maximum pinned at zero.
-    EXPECT_EQ(*std::max_element(got_col.begin(), got_col.end()), 0);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// One layer up: distributions and DP solvers under a backend sweep.
+// One layer up: distributions under a backend sweep.
 // ---------------------------------------------------------------------------
 
 TEST_F(KernelEquivalenceTest, DistributionBatchesMatchAcrossBackends) {
@@ -353,84 +226,6 @@ TEST_F(KernelEquivalenceTest, DistributionBatchesMatchAcrossBackends) {
         single[i] = std::isnan(xs[i]) ? vec_out[i] : dist->LogProb(xs[i]);
       }
       ExpectBitEqual(vec_out, single);
-    }
-  }
-}
-
-TEST_F(KernelEquivalenceTest, ItemDpSolversMatchAcrossBackends) {
-  const int num_levels = 6;
-  const int num_items = 40;
-  const size_t n_actions = 150;
-  std::vector<double> cache(
-      static_cast<size_t>(num_items) * static_cast<size_t>(num_levels));
-  std::uniform_real_distribution<double> score(-15.0, 0.0);
-  for (double& c : cache) c = score(rng_);
-  cache[7 * num_levels + 2] = kNegInf;  // an impossible (item, level) cell
-  std::vector<int32_t> items(n_actions);
-  std::uniform_int_distribution<int32_t> pick(0, num_items - 1);
-  for (int32_t& it : items) it = pick(rng_);
-  std::vector<double> log_initial(num_levels);
-  for (double& v : log_initial) v = score(rng_);
-  std::vector<uint8_t> allow_down(n_actions - 1, 0);
-  for (size_t t = 0; t < allow_down.size(); t += 5) allow_down[t] = 1;
-
-  DpScratch vec_scratch, scalar_scratch;
-  simd::ForceScalarForTest(false);
-  const double vec_ll = SolveMonotonePathItems(
-      cache, items, num_levels, log_initial, -0.105, -2.302, vec_scratch);
-  const std::vector<int> vec_levels = vec_scratch.levels;
-  const double vec_ll_forget = SolveMonotonePathItemsWithForgetting(
-      cache, items, num_levels, log_initial, -0.105, -2.302, allow_down,
-      -3.0, vec_scratch);
-  const std::vector<int> vec_levels_forget = vec_scratch.levels;
-
-  simd::ForceScalarForTest(true);
-  ASSERT_EQ(simd::ActiveBackend(), simd::Backend::kScalar);
-  const double scalar_ll = SolveMonotonePathItems(
-      cache, items, num_levels, log_initial, -0.105, -2.302, scalar_scratch);
-  EXPECT_TRUE(BitEq(vec_ll, scalar_ll));
-  EXPECT_EQ(vec_levels, scalar_scratch.levels);
-  const double scalar_ll_forget = SolveMonotonePathItemsWithForgetting(
-      cache, items, num_levels, log_initial, -0.105, -2.302, allow_down,
-      -3.0, scalar_scratch);
-  EXPECT_TRUE(BitEq(vec_ll_forget, scalar_ll_forget));
-  EXPECT_EQ(vec_levels_forget, scalar_scratch.levels);
-}
-
-TEST_F(KernelEquivalenceTest, StreamingForwardMatchesBatchAcrossBackends) {
-  // The streaming column after a prefix must equal the batch kernel's
-  // final row on that prefix — on both backends, bitwise.
-  const int num_levels = 9;  // one 4-block + 4-tail in the interior
-  const int num_items = 25;
-  const size_t n_actions = 60;
-  std::vector<double> cache(
-      static_cast<size_t>(num_items) * static_cast<size_t>(num_levels));
-  std::uniform_real_distribution<double> score(-15.0, 0.0);
-  for (double& c : cache) c = score(rng_);
-  std::vector<int32_t> items(n_actions);
-  std::uniform_int_distribution<int32_t> pick(0, num_items - 1);
-  for (int32_t& it : items) it = pick(rng_);
-
-  for (const bool force_scalar : {false, true}) {
-    simd::ForceScalarForTest(force_scalar);
-    std::vector<double> column(num_levels), next(num_levels);
-    DpScratch scratch;
-    for (size_t t = 0; t < n_actions; ++t) {
-      const std::span<const double> row(
-          cache.data() +
-              static_cast<size_t>(items[t]) * static_cast<size_t>(num_levels),
-          static_cast<size_t>(num_levels));
-      if (t == 0) {
-        MonotoneForwardStart(row, {}, column);
-      } else {
-        MonotoneForwardStep(column, row, -0.105, -2.302, false, 0.0, next);
-        column.swap(next);
-      }
-      const std::span<const int32_t> prefix(items.data(), t + 1);
-      SolveMonotonePathItems(cache, prefix, num_levels, {}, -0.105, -2.302,
-                             scratch);
-      EXPECT_EQ(MonotoneForwardLevel(column), scratch.levels.back())
-          << "t=" << t << " force_scalar=" << force_scalar;
     }
   }
 }

@@ -198,6 +198,18 @@ class StoreCorruptionTest : public ::testing::Test {
     return reader.ok() ? Status::OK() : reader.status();
   }
 
+  // Writes `header` over the prologue and re-seals its CRC, so only the
+  // edited field is at fault.
+  static void Reseal(StoreHeader header, std::string* bytes) {
+    header.header_crc = 0;
+    Crc32Accumulator crc;
+    crc.Update(&header, sizeof(header));
+    crc.Update(bytes->data() + kDirectoryOffset,
+               kNumSegments * sizeof(SegmentEntry));
+    header.header_crc = crc.Finish();
+    std::memcpy(bytes->data(), &header, sizeof(header));
+  }
+
   static void ExpectToken(const Status& status, StoreError error) {
     EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
     const std::string token = StoreErrorToken(error);
@@ -234,15 +246,60 @@ TEST_F(StoreCorruptionTest, UnknownVersion) {
   StoreHeader header;
   std::memcpy(&header, bytes.data(), sizeof(header));
   header.version = kStoreVersion + 1;
-  // Re-seal the prologue CRC so only the version is at fault.
-  header.header_crc = 0;
-  Crc32Accumulator crc;
-  crc.Update(&header, sizeof(header));
-  crc.Update(bytes.data() + kDirectoryOffset,
-             kNumSegments * sizeof(SegmentEntry));
-  header.header_crc = crc.Finish();
-  std::memcpy(bytes.data(), &header, sizeof(header));
+  Reseal(header, &bytes);
   ExpectToken(OpenStatus(bytes), StoreError::kBadVersion);
+}
+
+// A count whose byte product wraps 2^64 back onto the true segment size
+// must still fail the header-vs-segment shape check (and never index the
+// offsets segment by the corrupt count).
+TEST_F(StoreCorruptionTest, UserCountThatWrapsTheOffsetsSize) {
+  std::string bytes = bytes_;
+  StoreHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  header.num_users += uint64_t{1} << 61;  // x 8 bytes wraps to + 0
+  Reseal(header, &bytes);
+  const Status status = OpenStatus(bytes);
+  ExpectToken(status, StoreError::kBadShape);
+  EXPECT_NE(status.message().find("user_offsets segment is"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("header count"), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(StoreCorruptionTest, ActionCountThatWrapsTheActionsSize) {
+  std::string bytes = bytes_;
+  StoreHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  header.num_actions += uint64_t{1} << 61;  // x 24 bytes wraps to + 0
+  Reseal(header, &bytes);
+  const Status status = OpenStatus(bytes);
+  ExpectToken(status, StoreError::kBadShape);
+  EXPECT_NE(status.message().find("actions segment is"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("header count"), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(StoreCorruptionTest, ItemCountBeyondTheItemNames) {
+  // Without item features the columns segment is empty whatever the item
+  // count, so only the names segment can bound it.
+  ItemTable items{FeatureSchema{}};
+  ASSERT_TRUE(items.AddItem({}, "only").ok());
+  Dataset dataset(std::move(items));
+  ASSERT_TRUE(dataset.AddAction(dataset.AddUser("u"), 1, 0).ok());
+  ASSERT_TRUE(PackDataset(dataset, path_).ok());
+  std::string bytes = ReadFile(path_);
+  StoreHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  ASSERT_EQ(header.num_features, 0u);
+  header.num_items = 0x7FFFFFFFu;  // still a valid ItemId bound
+  Reseal(header, &bytes);
+  const Status status = OpenStatus(bytes);
+  ExpectToken(status, StoreError::kBadShape);
+  EXPECT_NE(status.message().find("item_names segment is"), std::string::npos)
+      << status.ToString();
 }
 
 TEST_F(StoreCorruptionTest, HeaderBitFlip) {
@@ -268,13 +325,7 @@ TEST_F(StoreCorruptionTest, SegmentOutOfBounds) {
   std::memcpy(bytes.data() + kDirectoryOffset, &entry, sizeof(entry));
   StoreHeader header;
   std::memcpy(&header, bytes.data(), sizeof(header));
-  header.header_crc = 0;
-  Crc32Accumulator crc;
-  crc.Update(&header, sizeof(header));
-  crc.Update(bytes.data() + kDirectoryOffset,
-             kNumSegments * sizeof(SegmentEntry));
-  header.header_crc = crc.Finish();
-  std::memcpy(bytes.data(), &header, sizeof(header));
+  Reseal(header, &bytes);
   ExpectToken(OpenStatus(bytes), StoreError::kSegmentBounds);
 }
 

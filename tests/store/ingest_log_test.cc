@@ -212,6 +212,46 @@ TEST(IngestLogTest, CorruptMiddleFrameEndsThePrefix) {
   }
 }
 
+TEST(IngestLogTest, OversizedRecordCountEndsThePrefix) {
+  // The frame CRC covers the payload, not the header's record count. A
+  // count with its top bit flipped must end the durable prefix like any
+  // other corrupt frame, not size an allocation by the corrupt value.
+  const std::string path = TempPath("count_flip.ingest");
+  std::remove(path.c_str());
+  IngestLogOptions options;
+  options.batch_records = 2;
+  {
+    Result<std::unique_ptr<IngestLogWriter>> writer =
+        IngestLogWriter::Open(path, options);
+    ASSERT_TRUE(writer.ok());
+    for (int n = 0; n < 6; ++n) {
+      ASSERT_TRUE(writer.value()->Append(MakeRecord(n)).ok());
+    }
+    ASSERT_TRUE(writer.value()->Sync().ok());
+  }
+  std::string bytes = ReadFile(path);
+  // Frame header: magic, payload bytes, record count, CRC (4 bytes each,
+  // little-endian). Frame 2 starts right after frame 1's payload.
+  uint32_t payload_bytes = 0;
+  std::memcpy(&payload_bytes, bytes.data() + 4, 4);
+  const size_t frame2 = 16 + payload_bytes;
+  ASSERT_LT(frame2 + 16, bytes.size());
+  bytes[frame2 + 11] ^= static_cast<char>(0x80);
+  WriteFile(path, bytes);
+
+  IngestScan scan;
+  const std::vector<IngestRecord> replayed = ReplayAll(path, &scan);
+  ASSERT_EQ(replayed.size(), 2u);
+  for (size_t n = 0; n < replayed.size(); ++n) {
+    ExpectSameRecord(replayed[n], MakeRecord(static_cast<int>(n)));
+  }
+  EXPECT_EQ(scan.num_batches, 1u);
+  EXPECT_EQ(scan.valid_bytes, frame2);
+  Result<IngestRecovery> recovered = RecoverIngestLog(path);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value().scan.num_records, 2u);
+}
+
 TEST(IngestLogTest, OpenAfterCrashTruncatesThenAppends) {
   const std::string path = TempPath("reopen.ingest");
   std::remove(path.c_str());
